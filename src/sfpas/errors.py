@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto exit codes: InputError -> 2, LimitError -> 3,
-anything else -> 4.
+InternalError and anything else -> 4.
 """
 
 
@@ -15,3 +15,7 @@ class InputError(SfpasError):
 
 class LimitError(SfpasError):
     """Non-convergence, infeasibility, or a resource limit was hit."""
+
+
+class InternalError(SfpasError):
+    """An internal invariant failed: a defect in sfpas, not in its input."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InputError
+from .errors import InputError, InternalError
 
 
 class ExteriorClass:
@@ -193,7 +193,8 @@ def expected_dimension(r: int, r0: int, d: int, d0: int, g: int) -> int:
     general = r * d0 - r0 * d + r * (r - r0) * (g - 1)
     if r == 1:
         rank_one = d0 - r0 * d + (r0 - 1) * (1 - g)
-        assert general == rank_one
+        if general != rank_one:
+            raise InternalError(f"expected dimension {general} != rank-one form {rank_one}")
     return general
 
 
@@ -244,7 +245,8 @@ def quot_count(g: int, r0: int) -> int:
         raise InputError("need g >= 0 and r0 >= 1")
     count = r0 ** g
     top_term = (r0 ** g) * theta_div_factorial(g, g).top_coefficient()
-    assert count == top_term
+    if count != top_term:
+        raise InternalError(f"quotient count {count} != top theta term {top_term}")
     return count
 
 

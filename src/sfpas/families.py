@@ -29,6 +29,7 @@ from .linalg import (
     ONE,
     ZERO,
     column_space_basis,
+    gauss_jordan,
     kernel_basis,
     matrix_from_columns,
     rank_exact,
@@ -203,21 +204,8 @@ class DestabilizerWitness:
 def _invert_exact(a: CMatrix) -> CMatrix:
     n = a.rows
     work = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a.entries)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if not work[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            raise InputError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv = ONE / work[col][col]
-        work[col] = [inv * x for x in work[col]]
-        for i in range(n):
-            if i != col and not work[i][col].is_zero():
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
+    if len(gauss_jordan(work, n)) < n:
+        raise InputError("singular matrix")
     return CMatrix([row[n:] for row in work])
 
 

@@ -3,7 +3,9 @@
 Exact scalars are Gaussian rationals (pairs of ``fractions.Fraction``);
 float scalars are 64-bit complex doubles.  Every operation is pure and
 deterministic: elimination always pivots on the first nonzero entry in
-row-major order, so results are reproducible bit for bit.
+row-major order, so results are reproducible bit for bit.  The one
+fraction-free Bareiss loop and the one Gauss-Jordan loop below serve
+every exact module.
 
 JSON conventions: a rational is the string ``"p/q"`` (or ``"p"``), a
 complex scalar is ``{"re": "p/q", "im": "p/q"}``, a matrix is a
@@ -81,6 +83,9 @@ class GaussianRational:
             (self.re * other.re + self.im * other.im) / d,
             (self.im * other.re - self.re * other.im) / d,
         )
+
+    def __rtruediv__(self, other):
+        return as_scalar(other) / self
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -370,19 +375,84 @@ class HermitianTuple:
         return [b.to_json() for b in self.blocks]
 
 
-# -- Gaussian-integer helpers for fraction-free elimination -----------
+# -- the exact elimination core ----------------------------------------
 
 
-def _gint_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def bareiss(m, ncols, step, zero, one):
+    """Fraction-free Bareiss elimination of the rows ``m``, in place.
+
+    The entries lie in an integral domain with neutral elements ``zero``
+    and ``one``, and ``step(p, a, h, b, prev)`` returns the quotient
+    (p*a - h*b) / prev, which is exact in the domain (Bareiss 1968).
+    Pivots on the first nonzero entry of each column, in row-major
+    order, and leaves ``m`` in row echelon form.  Returns (rank, odd),
+    where ``odd`` is the parity of the row swaps; for a square matrix of
+    full rank the last entry of ``m`` is then (-1)**odd * det.
+    """
+    nrows = len(m)
+    rank = 0
+    odd = False
+    prev = one
+    for col in range(ncols):
+        for i in range(rank, nrows):
+            if m[i][col] != zero:
+                break
+        else:
+            continue
+        if i != rank:
+            m[rank], m[i] = m[i], m[rank]
+            odd = not odd
+        top = m[rank]
+        p = top[col]
+        for row in m[rank + 1:]:
+            h = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = step(p, row[j], h, top[j], prev)
+            row[col] = zero
+        prev = p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, odd
 
 
-def _gint_div_exact(a, b):
-    # (a / b) where the quotient is known to be a Gaussian integer.
-    d = b[0] * b[0] + b[1] * b[1]
-    re = a[0] * b[0] + a[1] * b[1]
-    im = a[1] * b[0] - a[0] * b[1]
-    return (re // d, im // d)
+def gauss_jordan(rows, ncols):
+    """Reduce ``rows`` in place to reduced row echelon form, pivoting in
+    the first ``ncols`` columns only (later columns, such as a right-hand
+    side or an identity block, are carried along).
+
+    Entries are exact field elements, ``Fraction`` or
+    ``GaussianRational``.  Pivots on the first nonzero entry of each
+    column, in row-major order.  Returns the pivot columns.
+    """
+    nrows = len(rows)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = 1 / rows[r][c]
+        top = rows[r] = [inv * x for x in rows[r]]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], top)]
+        pivots.append(c)
+    return pivots
+
+
+def _gint_step(p, a, h, b, prev):
+    # (p*a - h*b) / prev over the Gaussian integers, as (re, im) pairs
+    re = p[0] * a[0] - p[1] * a[1] - h[0] * b[0] + h[1] * b[1]
+    im = p[0] * a[1] + p[1] * a[0] - h[0] * b[1] - h[1] * b[0]
+    d = prev[0] * prev[0] + prev[1] * prev[1]
+    return ((re * prev[0] + im * prev[1]) // d, (im * prev[0] - re * prev[1]) // d)
 
 
 def _to_gaussian_integer_rows(a: CMatrix):
@@ -408,33 +478,7 @@ def rank_exact(a: CMatrix) -> int:
     """
     if a.mode != "exact":
         raise ModeError("rank_exact requires exact mode")
-    m = _to_gaussian_integer_rows(a)
-    nrows, ncols = a.rows, a.cols
-    rank = 0
-    prev = (1, 0)
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, nrows):
-            if m[i][col] != (0, 0):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != rank:
-            m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        piv = m[rank][col]
-        for i in range(rank + 1, nrows):
-            head = m[i][col]
-            for j in range(col + 1, ncols):
-                num0 = _gint_mul(piv, m[i][j])
-                num1 = _gint_mul(head, m[rank][j])
-                m[i][j] = _gint_div_exact((num0[0] - num1[0], num0[1] - num1[1]), prev)
-            m[i][col] = (0, 0)
-        prev = piv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return bareiss(_to_gaussian_integer_rows(a), a.cols, _gint_step, (0, 0), (1, 0))[0]
 
 
 def rref(a: CMatrix):
@@ -446,29 +490,7 @@ def rref(a: CMatrix):
     if a.mode != "exact":
         raise ModeError("rref requires exact mode")
     work = [list(row) for row in a.entries]
-    nrows, ncols = a.rows, a.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not work[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(nrows):
-            if i != r and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work, pivots
+    return work, gauss_jordan(work, a.cols)
 
 
 def kernel_basis(a: CMatrix):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InternalError
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -94,7 +96,8 @@ def solve_standard(c, a_rows, b_vec, maximize=False):
             obj[j] -= tab[i][j] if j < nvars + m else 0
         obj[-1] -= tab[i][-1]
     status = _run_simplex(tab, obj, basis)
-    assert status == "optimal"  # phase 1 is always bounded below by 0
+    if status != "optimal":
+        raise InternalError(f"phase 1 is bounded below by 0 but ended {status}")
     if -obj[-1] != 0:
         return LPResult("infeasible")
 

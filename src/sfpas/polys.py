@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .linalg import ONE, ZERO, GaussianRational, as_scalar
+from .linalg import ONE, ZERO, GaussianRational, as_scalar, bareiss
 
 
 def poly_trim(p):
@@ -203,61 +203,28 @@ def binary_forms_common_zero_free(forms):
     return poly_deg(g) == 0
 
 
+_UNIT = (ONE,)
+
+
+def _poly_step(p, a, h, b, prev):
+    num = poly_sub(poly_mul(p, a), poly_mul(h, b))
+    # most divisors are the unit (the first column's, and each unit
+    # pivot's), and dividing by it costs more than the products
+    return num if prev == _UNIT else poly_divexact(num, prev)
+
+
 def bareiss_det_poly(mat):
     """Determinant of a square matrix of polynomials, fraction-free."""
     n = len(mat)
     if n == 0:
         return (ONE,)
     m = [list(row) for row in mat]
-    sign = 1
-    prev = (ONE,)
-    for col in range(n - 1):
-        pivot = None
-        for i in range(col, n):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            return ()
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        p = m[col][col]
-        for i in range(col + 1, n):
-            h = m[i][col]
-            for j in range(col + 1, n):
-                num = poly_sub(poly_mul(p, m[i][j]), poly_mul(h, m[col][j]))
-                m[i][j] = poly_divexact(num, prev)
-            m[i][col] = ()
-        prev = p
-    det = m[n - 1][n - 1]
-    return poly_neg(det) if sign < 0 else det
+    rank, odd = bareiss(m, n, _poly_step, (), _UNIT)
+    if rank < n:
+        return ()
+    return poly_neg(m[-1][-1]) if odd else m[-1][-1]
 
 
 def bareiss_rank_poly(mat, nrows, ncols) -> int:
     """Generic rank over the rational function field Q(i)(x)."""
-    m = [list(row) for row in mat]
-    rank = 0
-    prev = (ONE,)
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-        p = m[rank][col]
-        for i in range(rank + 1, nrows):
-            h = m[i][col]
-            for j in range(col + 1, ncols):
-                num = poly_sub(poly_mul(p, m[i][j]), poly_mul(h, m[rank][j]))
-                m[i][j] = poly_divexact(num, prev)
-            m[i][col] = ()
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return bareiss([list(row) for row in mat[:nrows]], ncols, _poly_step, (), _UNIT)[0]

@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .errors import InputError, LimitError
-from .linalg import CMatrix, kernel_basis, rank_exact
+from .errors import InputError, InternalError, LimitError
+from .linalg import CMatrix, gauss_jordan, kernel_basis, rank_exact
 from .lp import LinearProgram
 
 ZERO = Fraction(0)
@@ -33,21 +33,8 @@ def _solve_square(a_rows, rhs):
     """Solve the square rational system A x = rhs; None if singular."""
     n = len(a_rows)
     aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(a_rows)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    if len(gauss_jordan(aug, n)) < n:
+        return None
     return tuple(row[-1] for row in aug)
 
 
@@ -190,7 +177,8 @@ def check_P2(tm: ToricMatrix):
         prog.add_eq(coeffs, 0)
     prog.add_le({x: 1 for x in xs}, 1)
     res = prog.optimize({x: 1 for x in xs}, maximize=True)
-    assert res.status == "optimal"
+    if res.status != "optimal":
+        raise InternalError(f"the bounded positivity LP ended {res.status}")
     if res.value == 0:
         return True, None
     cert = tuple(res.x[x] for x in xs)
@@ -229,9 +217,9 @@ def validate_fan(fan: Fan, tm: ToricMatrix):
     pairwise intersection is the common face spanned by the shared rays
     (decided by exact LPs).
     complete: every ridge lies in exactly two maximal cones sitting on
-    opposite sides, the dual graph is connected, and 1000 deterministic
-    rational directions are all covered.  For m <= 2 the ridge criterion
-    is exact; for m = 3 the sampling is an extra heuristic layer.
+    opposite sides and the dual graph is connected.  For m <= 2 this
+    ridge criterion is exact; for m >= 3, 1000 deterministic rational
+    directions must also all be covered, an extra heuristic layer.
     """
     for cone in fan.max_cones:
         for j in cone:
@@ -287,7 +275,8 @@ def _intersection_is_common_face(tm, c1, c2):
         prog.add_le({v: 1 for v in list(lam.values()) + list(mu.values())}, 1)
         target = lam[extra] if extra in c1 else mu[extra]
         res = prog.optimize({target: 1}, maximize=True)
-        assert res.status == "optimal"
+        if res.status != "optimal":
+            raise InternalError(f"the bounded cone-intersection LP ended {res.status}")
         if res.value > 0:
             return False
     return True
@@ -333,6 +322,8 @@ def _check_complete(fan, tm):
                     stack.append(nxt)
         if len(seen) != len(cones):
             return False
+    if tm.m <= 2:
+        return True
 
     inverses = []
     for cone in cones:
@@ -407,29 +398,10 @@ class FaceFunctional:
 def _solve_least(aug, k):
     """One exact solution of an overdetermined consistent system."""
     rows = [row[:] for row in aug]
-    m = len(rows)
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+    pivots = gauss_jordan(rows, k)
     sol = [ZERO] * k
-    for row_idx, c in enumerate(pivots):
-        sol[c] = rows[row_idx][-1]
+    for row, c in zip(rows, pivots):
+        sol[c] = row[-1]
     return sol
 
 

@@ -6,13 +6,84 @@ ranks are evaluated at 50 fixed rational points (the product does
 symbolic elimination over the polynomial ring), and the maximal minors
 are reconstructed by Lagrange interpolation from integer determinant
 evaluations with a monic Euclid gcd over Q (the product uses a Bareiss
-determinant and a subresultant remainder sequence).
+determinant and a subresultant remainder sequence).  The integer rank
+and determinant below are the oracle's own; nothing here imports sfpas.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
-from sfpas._kernels import det_int, rank_int
+
+def rank_int(mat) -> int:
+    """Rank over Q of an integer matrix via Bareiss elimination.
+
+    Pivot choice is the first row with a nonzero entry in the current
+    column, scanning in row-major order.
+    """
+    m = [list(row) for row in mat]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        pivot = None
+        for i in range(rank, nrows):
+            if m[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+        p = m[rank][col]
+        for i in range(rank + 1, nrows):
+            h = m[i][col]
+            if h == 0 and p == prev:
+                continue
+            row_i = m[i]
+            row_r = m[rank]
+            for j in range(col + 1, ncols):
+                row_i[j] = (p * row_i[j] - h * row_r[j]) // prev
+            row_i[col] = 0
+        prev = p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def det_int(mat) -> int:
+    """Determinant of a square integer matrix via Bareiss elimination."""
+    m = [list(row) for row in mat]
+    n = len(m)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in m):
+        raise ValueError("det_int requires a square matrix")
+    sign = 1
+    prev = 1
+    for col in range(n - 1):
+        pivot = None
+        for i in range(col, n):
+            if m[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        p = m[col][col]
+        for i in range(col + 1, n):
+            h = m[i][col]
+            row_i = m[i]
+            row_c = m[col]
+            for j in range(col + 1, n):
+                row_i[j] = (p * row_i[j] - h * row_c[j]) // prev
+            row_i[col] = 0
+        prev = p
+    return sign * m[n - 1][n - 1]
+
 
 # 49 affine points (x : 1) plus the point at infinity (1 : 0)
 ORACLE_POINTS = [(x, 1) for x in range(-24, 25)] + [(1, 0)]

@@ -248,3 +248,16 @@ def test_golden_outputs(capsys, data_dir, golden_dir):
         assert code == 0
         expected = (golden_dir / name).read_text()
         assert out == expected, f"golden mismatch for {name}"
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    from sfpas import exterior
+    from sfpas.errors import InternalError
+
+    def broken(g, r0):
+        raise InternalError("invariant failed")
+
+    monkeypatch.setattr(exterior, "quot_count", broken)
+    code, out, err = run_cli(["invariants", "quot-count", "--g", "2", "--r0", "2"], capsys)
+    assert code == 4 and out == ""
+    assert "invariant failed" in err
