@@ -490,7 +490,8 @@ def rref(a: CMatrix):
     if a.mode != "exact":
         raise ModeError("rref requires exact mode")
     work = [list(row) for row in a.entries]
-    return work, gauss_jordan(work, a.cols)
+    pivots = gauss_jordan(work, a.cols)
+    return work, pivots
 
 
 def kernel_basis(a: CMatrix):

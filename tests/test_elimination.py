@@ -107,12 +107,13 @@ def test_invert_exact_matches_sympy(rows):
 @SETTINGS
 @given(matrices(small_fraction, square=True), st.lists(small_fraction, min_size=4, max_size=4))
 def test_solve_square_matches_sympy(rows, rhs):
+    rhs = rhs[: len(rows)]
     ref = _dm_rational(rows)
-    sol = _solve_square(rows, rhs[: len(rows)])
+    sol = _solve_square(rows, rhs)
     if ref.rank() < len(rows):
         assert sol is None
     else:
-        expected = ref.inv() * _dm_rational([[q] for q in rhs[: len(rows)]])
+        expected = ref.inv() * _dm_rational([[q] for q in rhs])
         assert _dm_rational([[q] for q in sol]) == expected
 
 
