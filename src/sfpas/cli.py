@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -106,6 +107,10 @@ def _quiver_inputs(args):
     return problem, point, level
 
 
+def _nan_to_null(x):
+    return None if math.isnan(x) else x
+
+
 def cmd_quiver_flow(args):
     problem, point, level = _quiver_inputs(args)
     res = quiver.kempf_ness_flow(problem, point, level, _flow_cfg(args))
@@ -114,8 +119,13 @@ def cmd_quiver_flow(args):
         "final_energy": res.final_energy,
         "iterations": res.iterations,
         "verdict": res.verdict.value,
+        "stop_reason": res.stop_reason.value,
         "converged": res.converged,
         "plateaued": res.plateaued,
+        "diverged": res.diverged,
+        "weight_bound": _nan_to_null(res.weight_bound),
+        "group_cond": res.group_cond,
+        "stabilizer_sigma_min": _nan_to_null(res.stabilizer_sigma_min),
         "final_point": {k: m.to_json() for k, m in res.final_point.maps.items()},
     }
     _emit(payload, args.out)
@@ -124,10 +134,13 @@ def cmd_quiver_flow(args):
 
 def cmd_quiver_verdict(args):
     problem, point, level = _quiver_inputs(args)
-    verdict = quiver.numerical_stability_verdict(problem, point, level, _flow_cfg(args))
+    res = quiver.kempf_ness_flow(problem, point, level, _flow_cfg(args))
     payload = {
         "provenance": _provenance(args, ["quiver", "verdict"], {"tol": args.tol}),
-        "verdict": verdict.value,
+        "verdict": res.verdict.value,
+        "stop_reason": res.stop_reason.value,
+        "iterations": res.iterations,
+        "final_energy": res.final_energy,
     }
     _emit(payload, args.out)
     return 0

@@ -27,6 +27,7 @@ case and are verified numerically by hamiltonian_check.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -268,18 +269,50 @@ class FlowConfig:
     max_group_cond: float = 1e8
 
 
+class StopReason(str, enum.Enum):
+    """Why kempf_ness_flow stopped."""
+
+    CONVERGED = "converged"  # energy < tol^2
+    CRITICAL = "critical"  # zero or relatively tiny gradient
+    PLATEAU = "plateau"  # energy flat over plateau_window steps
+    STEP_FLOOR = "step_floor"  # no step >= 1e-18 passes the Armijo test
+    WEIGHT_BOUND = "weight_bound"  # moment-weight certificate of instability
+    DIVERGED = "diverged"  # energy or gradient not finite
+    MAX_ITER = "max_iter"
+
+
 @dataclass
 class FlowResult:
     final_point: QuiverPoint
     final_energy: float
     iterations: int
     verdict: Verdict
-    converged: bool = False
-    plateaued: bool = False
-    diverged: bool = False
+    stop_reason: StopReason
+    # the lower bound on inf |mu| over the orbit that ended the flow
+    # (StopReason.WEIGHT_BOUND); NaN otherwise
+    weight_bound: float = field(default=float("nan"))
+    # certificates whose bound exceeded the current |mu|, which the
+    # moment-weight inequality forbids: a misfire of the zero test
+    discarded_certificates: int = 0
     stabilizer_sigma_min: float = field(default=float("nan"))
     group_cond: float = 1.0
     energy_history: list = field(default_factory=list, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason is StopReason.CONVERGED
+
+    @property
+    def plateaued(self) -> bool:
+        return self.stop_reason in (
+            StopReason.CRITICAL,
+            StopReason.PLATEAU,
+            StopReason.STEP_FLOOR,
+        )
+
+    @property
+    def diverged(self) -> bool:
+        return self.stop_reason is StopReason.DIVERGED
 
 
 # -- moment map --------------------------------------------------------
@@ -373,11 +406,14 @@ def _moment_blocks_float(problem, maps, lvl):
             if a.src == v:
                 acc += f.conj().T @ f
             if a.dst == v:
-                tw = problem.dims.twist_dim[a.name]
-                f3 = f.reshape(d, tw, -1)
-                acc -= np.einsum("ias,jas->ij", f3, f3.conj())
+                fr = f.reshape(d, -1)  # rows: target index; columns: (twist, source)
+                acc -= fr @ fr.conj().T
         blocks.append(acc / 2.0 - lvl[v] * np.eye(d))
     return blocks
+
+
+def _norm2(x) -> float:
+    return float(np.vdot(x, x).real)
 
 
 def _energy_and_data(problem, maps, lvl, coker):
@@ -388,7 +424,7 @@ def _energy_and_data(problem, maps, lvl, coker):
         c = b @ coker
         return float(c @ c), c
     blocks = _moment_blocks_float(problem, maps, lvl)
-    energy = sum(float(np.linalg.norm(b) ** 2) for b in blocks)
+    energy = sum(_norm2(b) for b in blocks)
     return energy, blocks
 
 
@@ -409,10 +445,8 @@ def _gradient(problem, maps, data, coker):
         if a.src in m_of:
             g = g + f @ m_of[a.src]
         if a.dst in m_of:
-            tw = problem.dims.twist_dim[a.name]
             d_t = problem.dims.vertex_dim[a.dst]
-            f3 = f.reshape(d_t, tw, -1)
-            g = g - np.einsum("ij,jas->ias", m_of[a.dst], f3).reshape(f.shape)
+            g = g - (m_of[a.dst] @ f.reshape(d_t, -1)).reshape(f.shape)
         out[a.name] = 2.0 * g
     return out
 
@@ -460,10 +494,8 @@ class _OrbitStepper:
         for a in self.problem.quiver.arrows:
             f = self.maps[a.name]
             if a.dst in factors:
-                tw = self.problem.dims.twist_dim[a.name]
                 d_t = self.problem.dims.vertex_dim[a.dst]
-                f3 = f.reshape(d_t, tw, -1)
-                f = np.einsum("ij,jas->ias", factors[a.dst], f3).reshape(f.shape)
+                f = (factors[a.dst] @ f.reshape(d_t, -1)).reshape(f.shape)
             if a.src in factors:
                 g, gv = self.eigs[a.src]
                 inv = (gv * np.exp(-2.0 * s * g)) @ gv.conj().T
@@ -473,66 +505,192 @@ class _OrbitStepper:
 
 
 def _point_norm(maps):
-    return float(np.sqrt(sum(np.linalg.norm(f) ** 2 for f in maps.values())))
+    return math.sqrt(sum(_norm2(f) for f in maps.values()))
+
+
+# -- the weight-bound certificate of instability ------------------------
+#
+# Moment-weight inequality (Georgoulas-Robbin-Salamon, arXiv:1311.0410;
+# Kirwan 1984; Ness 1984): for every nonzero Hermitian tuple eta,
+# -w(x, eta) / |eta| <= inf over g in G^c of |mu(g x)|, with the weight
+# w(x, eta) = lim_{s -> oo} <mu(exp(-s eta) x), eta>.  Here exp(-s eta)
+# sends f_a to (e^{-s eta_t} (x) id) f_a e^{s eta_s}, so in eigenbases of
+# eta the block of f_a from a source weight lam to a target weight kap
+# scales by e^{s (lam - kap)}.  When every block with kap < lam is zero
+# the limit exists and w(x, eta) = -sum_v t_v Tr eta_v, the level part of
+# <mu(x), eta>.  The thresholds below are heuristics, like
+# FlowConfig.stabilizer_tol; the inequality itself is exact.
+
+# accepted steps between two certificate checks; the first is at step 0
+WEIGHT_CHECK_EVERY = 10
+# weights of eta closer than this (single linkage) merge into their mean
+WEIGHT_CLUSTER_GAP = 1e-3
+# the destabilizing blocks (kap < lam) count as zero when their joint
+# norm is at most this times |x|
+WEIGHT_ZERO_RTOL = 1e-9
+# a bound above sqrt(E) (1 + this) contradicts the inequality, since the
+# current point lies on the orbit: the zero test misfired, so the
+# certificate is discarded
+WEIGHT_CONTRADICTION_RTOL = 1e-9
+
+
+def _weight_bound(problem, maps, eigs, lvl, xnorm):
+    """Moment-weight lower bound on inf |mu| over the orbit of maps, or
+    None when the destabilizing blocks are not zero.
+
+    eta_v has the eigenvectors of the moment block mu_v (eigs, the
+    eigendecompositions _OrbitStepper computed) and its eigenvalues
+    negated; vertices outside S carry the fixed weight 0.  All weights
+    and that 0 are clustered together and each is replaced by its
+    cluster mean, the cluster holding 0 getting exactly 0.  The result
+    eta' is a Hermitian tuple whatever the rounding, so the bound
+    sum_v t_v Tr eta'_v / |eta'| holds once the zero test is right.
+    """
+    s_order = problem.s_order
+    weights = np.concatenate([-eigs[v][0] for v in s_order] + [np.zeros(1)])
+    order = np.argsort(weights, kind="stable")
+    ranked = weights[order]
+    ranked_ids = np.concatenate(([0], np.cumsum(np.diff(ranked) > WEIGHT_CLUSTER_GAP)))
+    cluster = np.empty(len(weights), dtype=int)
+    cluster[order] = ranked_ids  # cluster ids ascend with the weights
+    means = np.bincount(ranked_ids, weights=ranked) / np.bincount(ranked_ids)
+    zero = cluster[-1]
+    means[zero] = 0.0
+    ids, start = {}, 0
+    for v in s_order:
+        ids[v] = cluster[start : start + len(eigs[v][0])]
+        start += len(ids[v])
+
+    bad2 = 0.0
+    for a in problem.quiver.arrows:
+        f = maps[a.name]
+        if a.src in ids:
+            f = f @ eigs[a.src][1]
+            src = ids[a.src]
+        else:
+            src = np.full(f.shape[1], zero)
+        if a.dst in ids:
+            dst = ids[a.dst]
+            f = (eigs[a.dst][1].conj().T @ f.reshape(len(dst), -1)).reshape(f.shape)
+            dst = np.repeat(dst, problem.dims.twist_dim[a.name])
+        else:
+            dst = np.full(f.shape[0], zero)
+        bad2 += _norm2(f[dst[:, None] < src[None, :]])
+    if bad2 > (WEIGHT_ZERO_RTOL * xnorm) ** 2:
+        return None
+    eta = [means[ids[v]] for v in s_order]
+    norm = math.sqrt(sum(_norm2(e) for e in eta))
+    if norm == 0.0:
+        return None
+    return sum(lvl[v] * float(e.sum()) for v, e in zip(s_order, eta)) / norm
 
 
 def kempf_ness_flow(
     problem: QuiverProblem, point: QuiverPoint, level: Level, cfg: FlowConfig = None
 ) -> FlowResult:
-    """Gradient descent on the moment-map energy along orbit directions.
+    """Gradient descent on the moment-map energy E = |mu|^2 along the
+    complexified orbit.
 
-    Armijo backtracking (c = cfg.armijo_c, halving) keeps the energy
-    monotone nonincreasing.  Terminates when the energy drops below
-    tol^2, at max_iter, or when the relative energy decrease over
-    plateau_window accepted steps falls below plateau_rtol.
+    Every step moves through the group exponential (_OrbitStepper), so
+    the iterate never leaves the orbit, with Armijo backtracking
+    (c = cfg.armijo_c, halving, starting from twice the last accepted
+    step), so E never rises.  A trial whose group factors or energy are
+    not finite (the exponential overflowed at a long step) is rejected
+    like one that fails the Armijo test.
+
+    The stop reason (FlowResult.stop_reason) is the first of these tests
+    to hold: CONVERGED when E < tol^2; MAX_ITER after max_iter accepted
+    steps; DIVERGED when E or the gradient is not finite; CRITICAL at a
+    zero gradient, or at a relative gradient below crit_rtol while
+    E >= 10 tol^2; WEIGHT_BOUND when the moment-weight certificate bounds
+    inf |mu| over the orbit above sqrt(10) tol; STEP_FLOOR when no step
+    down to 1e-18 is accepted; PLATEAU when E fell by at most
+    plateau_rtol (relative) over plateau_window accepted steps.
+
+    The certificate (vertex-product symmetry only) runs at step 0 and
+    every WEIGHT_CHECK_EVERY accepted steps on the eigendecompositions
+    the stepper already holds.  It takes eta' = -mu(x) with its spectrum
+    clustered (see _weight_bound); when the blocks of x that eta' would
+    blow up are zero, the moment-weight inequality of
+    Georgoulas-Robbin-Salamon gives inf |mu| >= B = sum_v t_v Tr eta'_v
+    / |eta'|.  A B above sqrt(E) (1 + WEIGHT_CONTRADICTION_RTOL)
+    contradicts the inequality at the current point, so it is counted in
+    discarded_certificates and never acted on.
+
+    Verdicts: CONVERGED gives Stable, StrictlySemistable when the
+    stabilizer estimate is at most stabilizer_tol, or Borderline when
+    the accumulated group element is worse conditioned than
+    max_group_cond; WEIGHT_BOUND and DIVERGED give Unstable; CRITICAL,
+    PLATEAU and STEP_FLOOR give Unstable when E >= 10 tol^2 and
+    Borderline otherwise; MAX_ITER gives Borderline.  The certificate
+    only ever ends a flow as Unstable, and at level zero B is 0, so it
+    never fires there.
     """
     cfg = cfg or FlowConfig()
     problem.validate_point(point)
     problem.validate_level(level)
     maps = _float_maps(problem, point)
     lvl = _float_level(problem, level)
-    coker = (
-        _coker_matrix(problem.symmetry.matrix)
-        if isinstance(problem.symmetry, TorusKernel)
-        else None
-    )
+    torus = isinstance(problem.symmetry, TorusKernel)
+    coker = _coker_matrix(problem.symmetry.matrix) if torus else None
 
     tol2 = cfg.tol * cfg.tol
+    bound_floor = math.sqrt(10.0) * cfg.tol
     energy, data = _energy_and_data(problem, maps, lvl, coker)
     step = cfg.step
     iterations = 0
-    plateaued = False
-    diverged = False
+    weight_bound = float("nan")
+    discarded = 0
     window_start = energy
     history = [float(energy)]
-    torus = isinstance(problem.symmetry, TorusKernel)
     group = None if torus else {
         v: np.eye(problem.dims.vertex_dim[v], dtype=complex) for v in problem.s_order
     }
-    while iterations < cfg.max_iter and energy >= tol2:
+    while True:
+        if energy < tol2:
+            reason = StopReason.CONVERGED
+            break
+        if iterations >= cfg.max_iter:
+            reason = StopReason.MAX_ITER
+            break
         grad = _gradient(problem, maps, data, coker)
-        gnorm2 = sum(float(np.linalg.norm(g) ** 2) for g in grad.values())
-        if not np.isfinite(energy) or not np.isfinite(gnorm2):
-            diverged = True
+        gnorm2 = sum(_norm2(g) for g in grad.values())
+        if not (math.isfinite(energy) and math.isfinite(gnorm2)):
+            reason = StopReason.DIVERGED
             break
         if gnorm2 == 0.0:
-            plateaued = True  # exact critical point
+            reason = StopReason.CRITICAL
             break
         # near a critical point of the energy at positive level the moment
         # value is itself a destabilizing direction; stop before roundoff
         # can seed the unstable manifold and tunnel off the orbit stratum
-        relcrit = np.sqrt(gnorm2) / (np.sqrt(energy) * (1.0 + _point_norm(maps)))
+        xnorm = _point_norm(maps)
+        relcrit = math.sqrt(gnorm2) / (math.sqrt(energy) * (1.0 + xnorm))
         if energy >= 10.0 * tol2 and relcrit < cfg.crit_rtol:
-            plateaued = True
+            reason = StopReason.CRITICAL
             break
         stepper = _OrbitStepper(problem, maps, data, coker)
+        if not torus and iterations % WEIGHT_CHECK_EVERY == 0:
+            bound = _weight_bound(problem, maps, stepper.eigs, lvl, xnorm)
+            if bound is not None:
+                if bound > math.sqrt(energy) * (1.0 + WEIGHT_CONTRADICTION_RTOL):
+                    discarded += 1
+                elif bound > bound_floor:
+                    weight_bound = bound
+                    reason = StopReason.WEIGHT_BOUND
+                    break
         s = step
         accepted = False
         while s >= 1e-18:
-            factors = stepper.group_factors(s)
-            trial = stepper.at(s, factors)
-            e_new, d_new = _energy_and_data(problem, trial, lvl, coker)
-            if e_new <= energy - cfg.armijo_c * s * gnorm2:
+            with np.errstate(over="ignore", invalid="ignore"):
+                factors = stepper.group_factors(s)
+                trial = stepper.at(s, factors)
+                e_new, d_new = _energy_and_data(problem, trial, lvl, coker)
+            if (
+                math.isfinite(e_new)
+                and e_new <= energy - cfg.armijo_c * s * gnorm2
+                and _all_finite(factors)
+            ):
                 maps, energy, data = trial, e_new, d_new
                 if group is not None:
                     for v in group:
@@ -541,18 +699,17 @@ def kempf_ness_flow(
                 break
             s *= 0.5
         if not accepted:
-            plateaued = True  # step floor: no descent direction left
+            reason = StopReason.STEP_FLOOR  # no descent direction left
             break
         history.append(float(energy))
         step = min(s * 2.0, 1e6)
         iterations += 1
         if iterations % cfg.plateau_window == 0:
             if window_start - energy <= cfg.plateau_rtol * max(window_start, 1e-300):
-                plateaued = True
+                reason = StopReason.PLATEAU
                 break
             window_start = energy
 
-    converged = energy < tol2 and not diverged
     group_cond = 1.0
     if group is not None:
         for g in group.values():
@@ -562,9 +719,7 @@ def kempf_ness_flow(
             else:
                 group_cond = max(group_cond, float(svals[0] / svals[-1]))
     sigma_min = float("nan")
-    if diverged:
-        verdict = Verdict.UNSTABLE
-    elif converged:
+    if reason is StopReason.CONVERGED:
         if group_cond > cfg.max_group_cond:
             verdict = Verdict.BORDERLINE  # zero reached only at the orbit's edge
         else:
@@ -574,7 +729,10 @@ def kempf_ness_flow(
                 if sigma_min > cfg.stabilizer_tol
                 else Verdict.STRICTLY_SEMISTABLE
             )
-    elif plateaued and energy >= 10.0 * tol2:
+    elif reason in (StopReason.WEIGHT_BOUND, StopReason.DIVERGED):
+        verdict = Verdict.UNSTABLE
+    elif reason is not StopReason.MAX_ITER and energy >= 10.0 * tol2:
+        # critical, plateau or step floor
         verdict = Verdict.UNSTABLE
     else:
         verdict = Verdict.BORDERLINE
@@ -585,13 +743,18 @@ def kempf_ness_flow(
         final_energy=float(energy),
         iterations=iterations,
         verdict=verdict,
-        converged=converged,
-        plateaued=plateaued,
-        diverged=diverged,
+        stop_reason=reason,
+        weight_bound=weight_bound,
+        discarded_certificates=discarded,
         stabilizer_sigma_min=sigma_min,
         group_cond=group_cond,
         energy_history=history,
     )
+
+
+def _all_finite(factors) -> bool:
+    values = factors.values() if isinstance(factors, dict) else (factors,)
+    return all(np.isfinite(g).all() for g in values)
 
 
 def _hermitian_basis(d):
@@ -622,10 +785,8 @@ def _apply_xi_vertex(problem, maps, vertex, xi):
         f = maps[a.name]
         x = np.zeros_like(f)
         if a.dst == vertex:
-            tw = problem.dims.twist_dim[a.name]
             d_t = problem.dims.vertex_dim[a.dst]
-            f3 = f.reshape(d_t, tw, -1)
-            x = x + np.einsum("ij,jas->ias", xi, f3).reshape(f.shape)
+            x = x + (xi @ f.reshape(d_t, -1)).reshape(f.shape)
         if a.src == vertex:
             x = x - f @ xi
         out[a.name] = -1j * x
@@ -668,7 +829,8 @@ def numerical_stability_verdict(
 ) -> Verdict:
     """Classify a point by flowing it: Stable needs energy < tol^2 and a
     trivial stabilizer estimate, StrictlySemistable a positive-dimensional
-    one, Unstable an energy plateau above 10 tol^2, Borderline the rest."""
+    one, Unstable a moment-weight certificate or an energy plateau above
+    10 tol^2, Borderline the rest (see kempf_ness_flow)."""
     return kempf_ness_flow(problem, point, level, cfg).verdict
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
+from chains import random_chain  # noqa: E402
 from oracles import (  # noqa: E402
     m_colspan_reps,
     oracle_check,
@@ -23,7 +24,7 @@ from oracles import (  # noqa: E402
 
 from sfpas import exterior, families, quiver, toric, vortex  # noqa: E402
 from sfpas.cli import main as cli_main  # noqa: E402
-from sfpas.linalg import CMatrix, GaussianRational, HermitianTuple  # noqa: E402
+from sfpas.linalg import CMatrix, HermitianTuple  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
 
@@ -33,29 +34,10 @@ def report(num, ok, detail):
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def _random_chain(rng):
-    m = rng.randint(1, 3)
-    dims = [rng.randint(1, 4) for _ in range(m + 1)]
-    maps = []
-    for i in range(m):
-        rows, cols = dims[i + 1], dims[i]
-        ent = []
-        for _ in range(rows):
-            row = []
-            for _ in range(cols):
-                q = rng.randint(1, 3)
-                p = rng.randint(-3 * q, 3 * q)
-                row.append(GaussianRational(Fraction(p, q)))
-            ent.append(row)
-        maps.append(CMatrix(ent))
-    level = [rng.choice([Fraction(1, 2), Fraction(1), Fraction(2)]) for _ in range(m)]
-    return families.FlagChain(dims, maps, level)
-
-
 def test_criterion_1_flag_oracle_agreement():
     """Exact flag test vs the Kempf-Ness verdict on 200 seeded chains."""
     rng = random.Random(2024)
-    chains = [_random_chain(rng) for _ in range(200)]
+    chains = [random_chain(rng) for _ in range(200)]
     cfg = quiver.FlowConfig(tol=1e-5, max_iter=30_000, step=0.3, crit_rtol=3e-6)
     t0 = time.time()
     agree = contradictions = borderline = 0

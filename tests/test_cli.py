@@ -165,12 +165,38 @@ def test_quiver_cli(capsys, data_dir):
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "Stable" and payload["converged"]
+    assert payload["stop_reason"] == "converged" and payload["diverged"] is False
+    assert payload["weight_bound"] is None and payload["group_cond"] == 1.0
+    assert payload["stabilizer_sigma_min"] > 0
     code, out, _ = run_cli(["quiver", "verdict", path, "--tol", "1e-6"], capsys)
-    assert json.loads(out)["verdict"] == "Stable"
+    payload = json.loads(out)
+    assert payload["verdict"] == "Stable" and payload["stop_reason"] == "converged"
+    assert payload["iterations"] == 0 and payload["final_energy"] == 0.0
     code, out, _ = run_cli(["quiver", "hamiltonian-check", path, "--seed", "3"], capsys)
     assert json.loads(out)["relative_error"] < 1e-5
     code, out, _ = run_cli(["quiver", "properness", path, "--trials", "3"], capsys)
     assert json.loads(out)["witness"] is None
+
+
+def test_quiver_cli_unstable_reports_weight_bound(capsys, tmp_path):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({
+        "quiver": {"vertices": ["v1", "v2"], "arrows": [{"id": "f", "src": "v1", "dst": "v2"}]},
+        "dims": {"v1": 2, "v2": 2},
+        "symmetry": {"type": "vertex_product", "vertices": ["v1"]},
+        "point": {"f": [["1", "0"], ["0", "0"]]},
+        "level": {"values": {"v1": "1"}},
+    }))
+    code, out, _ = run_cli(["quiver", "flow", str(path)], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["verdict"] == "Unstable"
+    assert payload["stop_reason"] == "weight_bound" and not payload["plateaued"]
+    assert abs(payload["weight_bound"] - 1.0) < 1e-6  # |mu| of the optimal destabilizer
+    assert payload["stabilizer_sigma_min"] is None
+    code, out, _ = run_cli(["quiver", "verdict", str(path)], capsys)
+    payload = json.loads(out)
+    assert payload["verdict"] == "Unstable" and payload["stop_reason"] == "weight_bound"
+    assert payload["iterations"] > 0 and payload["final_energy"] >= 1.0
 
 
 def test_vortex_cli_solve_and_infeasible(capsys, tmp_path):
