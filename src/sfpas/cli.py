@@ -3,7 +3,13 @@ discipline (0 ok, 2 bad input, 3 limits/non-convergence, 4 internal).
 
 Every result carries a machine-readable provenance block (tool version,
 command path, seed, tolerances) and is emitted with sorted keys so that
-reruns with the same seed are byte-identical.
+reruns with the same seed are byte-identical.  The provenance of a
+command that uses numpy also carries the numpy version, since its
+seeded streams depend on it.
+
+Each command imports the modules it uses when it runs, so the exact
+commands (flag, toric, invariants, and stromme without the refuter)
+never load numpy.
 """
 
 from __future__ import annotations
@@ -15,12 +21,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import InputError, LimitError
-from .linalg import CMatrix, HermitianTuple, fraction_to_str, parse_fraction
-from . import exterior, families, quiver, toric, vortex
 
 log = logging.getLogger("sfpas")
 
@@ -33,6 +35,13 @@ def _provenance(args, command, tolerances=None):
         "seed": getattr(args, "seed", None),
         "tolerances": tolerances or {},
     }
+
+
+def _numpy_provenance(args, command, tolerances=None):
+    """Provenance of a command that uses numpy: adds the numpy version."""
+    import numpy as np
+
+    return dict(_provenance(args, command, tolerances), numpy_version=np.__version__)
 
 
 def _emit(payload, out_path):
@@ -54,11 +63,10 @@ def _load_json(path):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _parse_level_rep(text):
-    return [parse_fraction(x.strip()) for x in text.split(",") if x.strip()]
-
-
 def _toric_inputs(args, need_fan=False):
+    from . import toric
+    from .linalg import parse_fraction
+
     obj = _load_json(args.file)
     try:
         tm = toric.ToricMatrix(obj["v"])
@@ -71,7 +79,7 @@ def _toric_inputs(args, need_fan=False):
         raise InputError("this command needs 'max_cones' in the toric file")
     level = None
     if getattr(args, "level_rep", None):
-        level = _parse_level_rep(args.level_rep)
+        level = [parse_fraction(x.strip()) for x in args.level_rep.split(",") if x.strip()]
     elif "level_rep" in obj:
         level = [parse_fraction(x) for x in obj["level_rep"]]
     return obj, tm, fan, level
@@ -89,6 +97,8 @@ def _require_level(level, r):
 
 
 def _flow_cfg(args):
+    from . import quiver
+
     return quiver.FlowConfig(
         step=args.step,
         max_iter=args.max_iter,
@@ -98,6 +108,8 @@ def _flow_cfg(args):
 
 
 def _quiver_inputs(args):
+    from . import quiver
+
     obj = _load_json(args.file)
     problem, point, level = quiver.problem_from_json(obj)
     if point is None:
@@ -112,10 +124,12 @@ def _nan_to_null(x):
 
 
 def cmd_quiver_flow(args):
+    from . import quiver
+
     problem, point, level = _quiver_inputs(args)
     res = quiver.kempf_ness_flow(problem, point, level, _flow_cfg(args))
     payload = {
-        "provenance": _provenance(args, ["quiver", "flow"], {"tol": args.tol}),
+        "provenance": _numpy_provenance(args, ["quiver", "flow"], {"tol": args.tol}),
         "final_energy": res.final_energy,
         "iterations": res.iterations,
         "verdict": res.verdict.value,
@@ -133,10 +147,12 @@ def cmd_quiver_flow(args):
 
 
 def cmd_quiver_verdict(args):
+    from . import quiver
+
     problem, point, level = _quiver_inputs(args)
     res = quiver.kempf_ness_flow(problem, point, level, _flow_cfg(args))
     payload = {
-        "provenance": _provenance(args, ["quiver", "verdict"], {"tol": args.tol}),
+        "provenance": _numpy_provenance(args, ["quiver", "verdict"], {"tol": args.tol}),
         "verdict": res.verdict.value,
         "stop_reason": res.stop_reason.value,
         "iterations": res.iterations,
@@ -147,6 +163,11 @@ def cmd_quiver_verdict(args):
 
 
 def cmd_quiver_hamiltonian(args):
+    import numpy as np
+
+    from . import quiver
+    from .linalg import CMatrix, HermitianTuple
+
     obj = _load_json(args.file)
     problem, point, level = quiver.problem_from_json(obj)
     if point is None or level is None:
@@ -172,7 +193,7 @@ def cmd_quiver_hamiltonian(args):
         w[a.name] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     err = quiver.hamiltonian_check(problem, point, level, xi, w, h=args.h)
     payload = {
-        "provenance": _provenance(args, ["quiver", "hamiltonian-check"], {"h": args.h}),
+        "provenance": _numpy_provenance(args, ["quiver", "hamiltonian-check"], {"h": args.h}),
         "relative_error": err,
     }
     _emit(payload, args.out)
@@ -180,12 +201,14 @@ def cmd_quiver_hamiltonian(args):
 
 
 def cmd_quiver_properness(args):
+    from . import quiver
+
     obj = _load_json(args.file)
     problem, _, _ = quiver.problem_from_json(obj)
     cfg = _flow_cfg(args)
     witness = quiver.properness_refuter(problem, cfg, trials=args.trials)
     payload = {
-        "provenance": _provenance(
+        "provenance": _numpy_provenance(
             args, ["quiver", "properness"], {"tol": args.tol, "trials": args.trials}
         ),
         "witness": None
@@ -201,6 +224,9 @@ def cmd_quiver_properness(args):
 
 
 def cmd_flag_check(args):
+    from . import families
+    from .linalg import fraction_to_str
+
     chain = families.FlagChain.from_json(_load_json(args.file))
     verdict, witness = families.flag_stable(chain)
     payload = {
@@ -223,52 +249,59 @@ def cmd_flag_check(args):
 
 
 def _triple_from_file(args):
+    from . import families
+
     return families.StrommeTriple.from_json(_load_json(args.file))
 
 
-def cmd_stromme_check(args):
-    triple = _triple_from_file(args)
-    result = families.stromme_check(triple)
-    payload = {
-        "provenance": _provenance(args, ["stromme", "check"]),
-        "cond1": result["cond1"],
-        "cond2": result["cond2"],
-        "is_triple": result["is_triple"],
-    }
-    if args.refute:
-        witness = families.stromme_refuter(
-            triple, parse_fraction(args.s), parse_fraction(args.t),
-            seed=args.seed, trials=args.trials,
-        )
-        payload["refutation"] = _refutation_json(witness)
-    _emit(payload, args.out)
-    return 0
+def _refute(triple, args):
+    from . import families
+    from .linalg import parse_fraction
 
-
-def _refutation_json(witness):
+    witness = families.stromme_refuter(
+        triple, parse_fraction(args.s), parse_fraction(args.t),
+        seed=args.seed, trials=args.trials,
+    )
     if witness is None:
         return None
     u1, v1, clause = witness
     return {"U1": u1.to_json(), "V1": v1.to_json(), "clause": clause}
 
 
+def cmd_stromme_check(args):
+    from . import families
+
+    triple = _triple_from_file(args)
+    result = families.stromme_check(triple)
+    payload = {
+        "cond1": result["cond1"],
+        "cond2": result["cond2"],
+        "is_triple": result["is_triple"],
+    }
+    if args.refute:  # the refuter's seeded stream comes from numpy
+        payload["refutation"] = _refute(triple, args)
+        payload["provenance"] = _numpy_provenance(args, ["stromme", "check"])
+    else:
+        payload["provenance"] = _provenance(args, ["stromme", "check"])
+    _emit(payload, args.out)
+    return 0
+
+
 def cmd_stromme_refute(args):
     triple = _triple_from_file(args)
-    witness = families.stromme_refuter(
-        triple, parse_fraction(args.s), parse_fraction(args.t),
-        seed=args.seed, trials=args.trials,
-    )
     payload = {
-        "provenance": _provenance(
+        "refutation": _refute(triple, args),
+        "provenance": _numpy_provenance(
             args, ["stromme", "refute"], {"trials": args.trials}
         ),
-        "refutation": _refutation_json(witness),
     }
     _emit(payload, args.out)
     return 0
 
 
 def cmd_stromme_quot(args):
+    from . import families
+
     triple = _triple_from_file(args)
     inv = families.quot_invariants(triple)
     payload = {
@@ -284,6 +317,9 @@ def cmd_stromme_quot(args):
 
 
 def cmd_toric_validate(args):
+    from . import toric
+    from .linalg import fraction_to_str
+
     _, tm, fan, _ = _toric_inputs(args, need_fan=True)
     p1_ok, p1_col = toric.check_P1(tm)
     p2_ok, p2_cert = toric.check_P2(tm)
@@ -302,6 +338,8 @@ def cmd_toric_validate(args):
 
 
 def cmd_toric_membership(args):
+    from . import toric
+
     _, tm, fan, level = _toric_inputs(args, need_fan=True)
     level = _require_level(level, tm.r)
     result = toric.k_membership(fan, tm, level)
@@ -315,6 +353,8 @@ def cmd_toric_membership(args):
 
 
 def cmd_toric_stability(args):
+    from . import toric
+
     _, tm, fan, level = _toric_inputs(args)
     level = _require_level(level, tm.r)
     support = toric.SupportPattern(
@@ -334,18 +374,24 @@ def cmd_toric_stability(args):
 
 
 def cmd_toric_chamber(args):
+    from . import toric
+
     _, tm, _, level = _toric_inputs(args)
     level = _require_level(level, tm.r)
-    fan = toric.chamber_fan_search(tm, level)
+    fan, reason = toric.chamber_search(tm, level)
     payload = {
         "provenance": _provenance(args, ["toric", "chamber"]),
         "fan": None if fan is None else fan.to_json(),
     }
+    if fan is None:
+        payload["reason"] = reason
     _emit(payload, args.out)
     return 0 if fan is not None else 3
 
 
 def cmd_toric_nonempty(args):
+    from . import toric
+
     _, tm, _, level = _toric_inputs(args)
     level = _require_level(level, tm.r)
     payload = {
@@ -360,6 +406,8 @@ def cmd_toric_nonempty(args):
 
 
 def _parse_class(text, g):
+    from . import exterior
+
     if text == "one":
         return exterior.ExteriorClass.one(g)
     if text == "top":
@@ -372,6 +420,8 @@ def _parse_class(text, g):
 
 
 def cmd_invariants_ggw(args):
+    from . import exterior
+
     problem = exterior.AbelianProblem(
         g=args.g, r0=args.r0, d=args.d, d0=args.d0, t_side=args.side
     )
@@ -388,6 +438,8 @@ def cmd_invariants_ggw(args):
 
 
 def cmd_invariants_quot_count(args):
+    from . import exterior
+
     payload = {
         "provenance": _provenance(args, ["invariants", "quot-count"]),
         "count": exterior.quot_count(args.g, args.r0),
@@ -397,6 +449,8 @@ def cmd_invariants_quot_count(args):
 
 
 def cmd_invariants_expected_dim(args):
+    from . import exterior
+
     payload = {
         "provenance": _provenance(args, ["invariants", "expected-dim"]),
         "value": exterior.expected_dimension(args.r, args.r0, args.d, args.d0, args.g),
@@ -406,6 +460,8 @@ def cmd_invariants_expected_dim(args):
 
 
 def cmd_invariants_degrees(args):
+    from . import exterior
+
     payload = {
         "provenance": _provenance(args, ["invariants", "degrees"]),
         "degree": exterior.algebra_degrees(args.r, args.kind, args.index),
@@ -435,6 +491,8 @@ def _parse_centers(text):
 
 
 def _vortex_problem(args):
+    from . import vortex
+
     grid = vortex.TorusGrid(args.n, args.length)
     return vortex.VortexProblem(
         grid=grid,
@@ -446,11 +504,13 @@ def _vortex_problem(args):
 
 
 def cmd_vortex_solve(args):
+    from . import vortex
+
     problem = _vortex_problem(args)
     cfg = vortex.SolverConfig(tol=args.tol, max_newton=args.max_newton, damping=args.damping)
     fld = vortex.solve_vortex(problem, cfg)
     payload = {
-        "provenance": _provenance(args, ["vortex", "solve"], {"tol": args.tol}),
+        "provenance": _numpy_provenance(args, ["vortex", "solve"], {"tol": args.tol}),
         "converged": fld.converged,
         "residual_sup": fld.residual_sup,
         "tau0": fld.tau0,
@@ -463,6 +523,8 @@ def cmd_vortex_solve(args):
 
 
 def cmd_vortex_scan(args):
+    from . import vortex
+
     grid = vortex.TorusGrid(args.n, args.length)
     cfg = vortex.SolverConfig(tol=args.tol, max_newton=args.max_newton, damping=args.damping)
     if args.steps < 2:

@@ -67,9 +67,6 @@ class ExteriorClass:
     def degrees(self):
         return sorted({len(m) for m in self.terms})
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def __add__(self, other):
         if self.g != other.g:
             raise InputError("genus mismatch")

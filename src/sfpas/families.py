@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .errors import InputError, LimitError
 from .linalg import (
     CMatrix,
@@ -41,15 +39,7 @@ from .polys import (
     binary_forms_common_zero_free,
     poly_trim,
 )
-from .quiver import (
-    FullVertexProduct,
-    Level,
-    Quiver,
-    QuiverDims,
-    QuiverPoint,
-    QuiverProblem,
-    Verdict,
-)
+from .verdict import Verdict
 
 MAX_PENCIL_DIM = 8  # desk-scale guard on minor enumeration
 
@@ -169,6 +159,8 @@ class FlagChain:
     def to_quiver(self):
         """The equivalent quiver problem (chain quiver, symmetry on the
         first m vertices) with its point and level."""
+        from .quiver import FullVertexProduct, Level, Quiver, QuiverDims, QuiverPoint, QuiverProblem
+
         m = self.m
         vertices = [f"v{i}" for i in range(1, m + 2)]
         arrows = [(f"f{i}", f"v{i}", f"v{i + 1}") for i in range(1, m + 1)]
@@ -431,9 +423,9 @@ def _subspace_candidates(t: StrommeTriple, rng, trials):
         combo = t.k.scale(x) + t.l.scale(y)
         basis = kernel_basis(combo)
         yield from emit(reduce_cols(basis))
-    for _ in range(trials):
-        kd = int(rng.integers(1, u + 1)) if u else 0
-        raw = rng.integers(-3, 4, size=(u, kd)) if u else np.zeros((0, 0), dtype=int)
+    for _ in range(trials if u else 0):  # with u = 0 the only subspace is already seen
+        kd = int(rng.integers(1, u + 1))
+        raw = rng.integers(-3, 4, size=(u, kd))
         cols = [tuple(GaussianRational(int(raw[i, j])) for i in range(u)) for j in range(kd)]
         yield from emit(reduce_cols(cols))
 
@@ -452,6 +444,8 @@ def stromme_refuter(t: StrommeTriple, s, tt, seed: int = 0, trials: int = 100):
     tt = EpsRational.coerce(tt)
     if not (EpsRational(0) < s and EpsRational(0) < tt):
         raise InputError("level parameters must be positive")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     for basis in _subspace_candidates(t, rng, trials):
         dim_u1 = basis.cols

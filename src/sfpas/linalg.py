@@ -5,7 +5,8 @@ float scalars are 64-bit complex doubles.  Every operation is pure and
 deterministic: elimination always pivots on the first nonzero entry in
 row-major order, so results are reproducible bit for bit.  The one
 fraction-free Bareiss loop and the one Gauss-Jordan loop below serve
-every exact module.
+every exact module.  Only the float helpers import numpy, so the exact
+modules load without it.
 
 JSON conventions: a rational is the string ``"p/q"`` (or ``"p"``), a
 complex scalar is ``{"re": "p/q", "im": "p/q"}``, a matrix is a
@@ -17,8 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from .errors import InputError, SfpasError
 
 HERMITIAN_REL_TOL = 1e-12  # float-mode HermitianTuple validation
@@ -29,10 +28,6 @@ class ModeError(SfpasError):
 
 
 class NonHermitianError(InputError):
-    pass
-
-
-class EigenConvergenceError(SfpasError):
     pass
 
 
@@ -221,12 +216,16 @@ class CMatrix:
 
     @staticmethod
     def from_numpy(arr):
+        import numpy as np
+
         arr = np.asarray(arr, dtype=complex)
         if arr.ndim != 2:
             raise InputError("expected a 2-d array")
         return CMatrix([[complex(v) for v in row] for row in arr], mode="float")
 
-    def to_numpy(self) -> np.ndarray:
+    def to_numpy(self) -> "np.ndarray":
+        import numpy as np
+
         return np.array([[complex(v) for v in row] for row in self.entries], dtype=complex).reshape(
             self.rows, self.cols
         )
@@ -353,6 +352,8 @@ class HermitianTuple:
                 if not b.is_hermitian_exact():
                     raise NonHermitianError("exact block is not Hermitian")
             else:
+                import numpy as np
+
                 arr = b.to_numpy()
                 scale = max(1.0, float(np.linalg.norm(arr)))
                 if float(np.linalg.norm(arr - arr.conj().T)) > HERMITIAN_REL_TOL * scale:
@@ -527,30 +528,3 @@ def column_space_basis(a: CMatrix):
     """Pivot columns of A: an exact basis of the column span."""
     _, pivots = rref(a)
     return [tuple(a.entries[i][c] for i in range(a.rows)) for c in pivots]
-
-
-def hermitian_eigen(h: CMatrix, tol: float = 1e-10):
-    """Eigen-decomposition of a float Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector CMatrix with orthonormal
-    columns).  Raises NonHermitianError if ||H - H*|| > tol * max(1, ||H||),
-    EigenConvergenceError if the QR iteration fails, or if the residual
-    ||H v - lambda v|| exceeds tol * ||H|| for some pair.
-    """
-    if h.mode != "float":
-        h = h.to_float()
-    if h.rows != h.cols:
-        raise InputError("hermitian_eigen requires a square matrix")
-    arr = h.to_numpy()
-    norm_h = float(np.linalg.norm(arr))
-    if float(np.linalg.norm(arr - arr.conj().T)) > tol * max(1.0, norm_h):
-        raise NonHermitianError("matrix is not Hermitian within tol")
-    sym = (arr + arr.conj().T) / 2.0
-    try:
-        w, v = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError("eigenvalue iteration did not converge") from exc
-    resid = np.linalg.norm(arr @ v - v * w[np.newaxis, :], axis=0)
-    if np.any(resid > tol * max(norm_h, 1e-300)) and norm_h > 0:
-        raise EigenConvergenceError("eigenpair residual exceeds tolerance")
-    return [float(x) for x in w], CMatrix.from_numpy(v)

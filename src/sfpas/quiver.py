@@ -36,13 +36,7 @@ import numpy as np
 from .errors import InputError
 from .linalg import CMatrix, HermitianTuple, ZERO, parse_fraction
 from .toric import ToricMatrix
-
-
-class Verdict(str, enum.Enum):
-    STABLE = "Stable"
-    STRICTLY_SEMISTABLE = "StrictlySemistable"
-    UNSTABLE = "Unstable"
-    BORDERLINE = "Borderline"
+from .verdict import Verdict
 
 
 @dataclass(frozen=True)

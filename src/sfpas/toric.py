@@ -568,13 +568,14 @@ def quotient_nonempty(tm: ToricMatrix, a) -> bool:
     return semistable_lp(full, tm, a)["semistable"]
 
 
-def chamber_fan_search(tm: ToricMatrix, a):
+def chamber_search(tm: ToricMatrix, a):
     """Find a complete simplicial fan whose K0 cone contains the level.
 
     The candidate maximal cones are exactly the independent m-subsets
     sigma whose complementary support pattern is semistable at the
     level; for a level inside some K0 this set IS the fan, so a single
-    validation decides the search.  Returns the Fan or None.
+    validation decides the search.  Returns (fan, None) on success and
+    (None, reason) otherwise; the reason names the step that failed.
     """
     if tm.r > 12 or tm.m > 3:
         raise LimitError("chamber search limited to r <= 12, m <= 3")
@@ -587,11 +588,17 @@ def chamber_fan_search(tm: ToricMatrix, a):
         if semistable_lp(pattern, tm, a)["semistable"]:
             candidates.append(frozenset(subset))
     if not candidates:
-        return None
+        return None, "no independent cone has a semistable complement at the level"
     fan = Fan(candidates)
     flags = validate_fan(fan, tm)
-    if not all(flags.values()):
-        return None
+    failed = sorted(name for name, ok in flags.items() if not ok)
+    if failed:
+        return None, "the candidate cones fail the fan checks: " + ", ".join(failed)
     if not k_membership(fan, tm, a)["in_K0"]:
-        return None
-    return fan
+        return None, "the level is not in the K0 cone of the candidate fan"
+    return fan, None
+
+
+def chamber_fan_search(tm: ToricMatrix, a):
+    """The fan of chamber_search, or None."""
+    return chamber_search(tm, a)[0]

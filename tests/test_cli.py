@@ -153,10 +153,12 @@ def test_toric_cli(capsys, data_dir):
     assert json.loads(out)["nonempty"] is False
 
     code, out, _ = run_cli(["toric", "chamber", path], capsys)
-    assert code == 0
-    assert json.loads(out)["fan"] == {"max_cones": [[1], [2]]}
-    code, _, _ = run_cli(["toric", "chamber", path, "--level-rep=-1,-1"], capsys)
-    assert code == 3
+    payload = json.loads(out)
+    assert code == 0 and payload["fan"] == {"max_cones": [[1], [2]]} and "reason" not in payload
+    code, out, _ = run_cli(["toric", "chamber", path, "--level-rep=-1,-1"], capsys)
+    payload = json.loads(out)
+    assert code == 3 and payload["fan"] is None
+    assert payload["reason"] == "no independent cone has a semistable complement at the level"
 
 
 def test_quiver_cli(capsys, data_dir):
@@ -257,6 +259,46 @@ def test_repeat_invocations_byte_identical(capsys, data_dir):
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
+
+
+def test_numpy_version_only_in_numpy_provenance(capsys, data_dir):
+    import numpy
+
+    grassmann = str(data_dir / "quiver_grassmann.json")
+    triple = str(data_dir / "stromme_triple.json")
+    p1 = str(data_dir / "p1.json")
+    numpy_commands = [
+        ["quiver", "flow", grassmann, "--tol", "1e-6"],
+        ["quiver", "verdict", grassmann, "--tol", "1e-6"],
+        ["quiver", "hamiltonian-check", grassmann],
+        ["quiver", "properness", str(data_dir / "quiver_torus_p1.json"), "--trials", "2"],
+        ["vortex", "solve", "--N", "16", "--L", "6.283185307179586", "--d", "-1",
+         "--centers", "3.14,3.14", "--t", "0.7"],
+        ["stromme", "refute", triple, "--s", "2", "--t", "1"],
+        ["stromme", "check", triple, "--refute", "--trials", "5"],
+    ]
+    exact_commands = [
+        ["flag", "check", str(data_dir / "flag_stable.json")],
+        ["stromme", "check", triple],
+        ["stromme", "quot", triple],
+        ["toric", "validate", p1],
+        ["toric", "membership", p1],
+        ["toric", "stability", p1, "--support", "1"],
+        ["toric", "chamber", p1],
+        ["toric", "nonempty", p1],
+        ["invariants", "ggw", "--g", "1", "--r0", "2", "--d", "0", "--d0", "1", "--side", "above"],
+        ["invariants", "quot-count", "--g", "1", "--r0", "2"],
+        ["invariants", "expected-dim", "--r", "1", "--r0", "2", "--d", "0", "--d0", "1", "--g", "1"],
+        ["invariants", "degrees", "--r", "2", "--kind", "u", "--index", "1"],
+    ]
+    for args in numpy_commands + exact_commands:
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0, args
+        provenance = json.loads(out)["provenance"]
+        if args in numpy_commands:
+            assert provenance["numpy_version"] == numpy.__version__, args
+        else:
+            assert "numpy_version" not in provenance, args
 
 
 def test_golden_outputs(capsys, data_dir, golden_dir):

@@ -12,7 +12,6 @@ from sfpas.linalg import (
     ModeError,
     NonHermitianError,
     fraction_to_str,
-    hermitian_eigen,
     kernel_basis,
     matrix_from_columns,
     parse_fraction,
@@ -118,45 +117,13 @@ def test_rank_agrees_with_float_rank():
         assert exact == int(np.sum(svals > 1e-9))
 
 
-def test_hermitian_eigen_diag():
-    w, v = hermitian_eigen(CMatrix([[1, 0], [0, 2]]).to_float())
-    assert w == [1.0, 2.0]
-    assert np.allclose(np.abs(v.to_numpy()), np.eye(2))
-
-
-def test_hermitian_eigen_offdiag():
-    w, _ = hermitian_eigen(CMatrix([[0, 1], [1, 0]]).to_float())
-    assert np.allclose(w, [-1.0, 1.0])
-
-
-def test_hermitian_eigen_zero():
-    w, _ = hermitian_eigen(CMatrix.zeros(3, 3).to_float())
-    assert w == [0.0, 0.0, 0.0]
-
-
-def test_hermitian_eigen_rejects_nonhermitian():
-    with pytest.raises(NonHermitianError):
-        hermitian_eigen(CMatrix([[0, 1], [0, 0]]).to_float(), tol=1e-10)
-
-
-def test_eigen_reconstruction():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        n = int(rng.integers(1, 6))
-        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (raw + raw.conj().T) / 2
-        tol = 1e-10
-        w, v = hermitian_eigen(CMatrix.from_numpy(h), tol=tol)
-        vm = v.to_numpy()
-        recon = vm @ np.diag(w) @ vm.conj().T
-        assert np.linalg.norm(recon - h) <= 10 * tol * max(np.linalg.norm(h), 1e-30)
-        assert w == sorted(w)
-
-
 def test_hermitian_tuple_validation():
     HermitianTuple([CMatrix([[1, GaussianRational(0, 1)], [GaussianRational(0, -1), 2]])])
     with pytest.raises(NonHermitianError):
         HermitianTuple([CMatrix([[0, 1], [0, 0]])])
+    HermitianTuple([CMatrix.from_numpy(np.array([[1.0, 2j], [-2j, 3.0]]))])
+    with pytest.raises(NonHermitianError):
+        HermitianTuple([CMatrix.from_numpy(np.array([[0.0, 1.0], [0.0, 0.0]]))])
 
 
 def test_json_rational_roundtrip():

@@ -9,6 +9,7 @@ from sfpas.toric import (
     ToricLevel,
     ToricMatrix,
     chamber_fan_search,
+    chamber_search,
     check_P1,
     check_P2,
     face_functional,
@@ -195,6 +196,13 @@ def test_chamber_search():
     assert chamber_fan_search(ToricMatrix([[1, 1]]), [1, 1]) is None
     fan = chamber_fan_search(P1XP1_MATRIX, [1, 1, 1, 1])
     assert fan == P1XP1_FAN
+    assert chamber_search(P2_MATRIX, [1, 1, 1]) == (P2_FAN, None)
+    assert chamber_search(P2_MATRIX, [-1, 0, 0]) == (
+        None, "no independent cone has a semistable complement at the level")
+    assert chamber_search(ToricMatrix([[1, 1]]), [1, 1]) == (
+        None, "the candidate cones fail the fan checks: complete, is_fan")
+    assert chamber_search(P2_MATRIX, [0, 0, 0]) == (
+        None, "the level is not in the K0 cone of the candidate fan")
 
 
 def test_chamber_search_limits():
