@@ -507,7 +507,7 @@ def cmd_vortex_solve(args):
     from . import vortex
 
     problem = _vortex_problem(args)
-    cfg = vortex.SolverConfig(tol=args.tol, max_newton=args.max_newton, damping=args.damping)
+    cfg = vortex.SolverConfig(tol=args.tol, max_newton=args.max_newton)
     fld = vortex.solve_vortex(problem, cfg)
     payload = {
         "provenance": _numpy_provenance(args, ["vortex", "solve"], {"tol": args.tol}),
@@ -515,6 +515,8 @@ def cmd_vortex_solve(args):
         "residual_sup": fld.residual_sup,
         "tau0": fld.tau0,
         "newton_iterations": fld.newton_iterations,
+        "cg_iterations": fld.cg_iterations,
+        "backtracks": fld.backtracks,
         "quantization": vortex.quantization_check(fld),
         "u": fld.u.tolist(),
     }
@@ -526,7 +528,7 @@ def cmd_vortex_scan(args):
     from . import vortex
 
     grid = vortex.TorusGrid(args.n, args.length)
-    cfg = vortex.SolverConfig(tol=args.tol, max_newton=args.max_newton, damping=args.damping)
+    cfg = vortex.SolverConfig(tol=args.tol, max_newton=args.max_newton)
     if args.steps < 2:
         raise InputError("--steps must be at least 2")
     ts = [
@@ -674,7 +676,6 @@ def build_parser():
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--max-newton", dest="max_newton", type=int, default=60)
-    p.add_argument("--damping", type=float, default=0.8)
     _add_common(p)
     p.set_defaults(func=cmd_vortex_solve)
     p = v.add_parser("scan")
@@ -686,7 +687,6 @@ def build_parser():
     p.add_argument("--t-to", dest="t_to", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--max-newton", dest="max_newton", type=int, default=60)
-    p.add_argument("--damping", type=float, default=0.8)
     p.add_argument("--workers", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_vortex_scan)

@@ -18,6 +18,7 @@ throughout.  Solutions are demonstrators, not gauge-exact fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,9 +64,11 @@ class TorusGrid:
         return np.meshgrid(xs, xs, indexing="ij")
 
     def laplacian_symbol(self):
+        """Symbol of the spectral Laplacian on the rfft2 half-spectrum,
+        shape (n, n // 2 + 1)."""
         k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.length / self.n)
-        kx, ky = np.meshgrid(k, k, indexing="ij")
-        return -(kx ** 2 + ky ** 2)
+        kr = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.length / self.n)
+        return -(k[:, None] ** 2 + kr[None, :] ** 2)
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,8 @@ class VortexField:
     converged: bool
     tau0: float
     newton_iterations: int = 0
+    cg_iterations: int = 0
+    backtracks: int = 0
     problem: VortexProblem = field(default=None, repr=False)
 
 
@@ -138,56 +143,113 @@ class VortexField:
 class SolverConfig:
     tol: float = 1e-8
     max_newton: int = 60
-    damping: float = 0.8
-    cg_rtol: float = 1e-12
     cg_max_iter: int = 2000
 
 
-def _solve_linearized(lap_sym, weight, rhs, rtol, max_iter):
-    """PCG for (-Lap + weight) delta = rhs with an FFT preconditioner.
+# Eisenstat-Walker (1996) forcing, choice 2, and the Armijo constant of
+# the backtracking line search on |F|_2.
+_EW_GAMMA = 0.9
+_ETA_MAX = 0.1
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 30
 
-    The operator is symmetric positive definite for weight >= 0 not
-    identically zero; the preconditioner is (-Lap + mean(weight))^{-1}.
-    """
-    wbar = float(np.mean(weight))
-    if wbar <= 0:
-        wbar = 1e-12
-    pre_sym = -lap_sym + wbar
 
-    def apply_op(x):
-        return -np.fft.ifft2(lap_sym * np.fft.fft2(x)).real + weight * x
+def _norm(x) -> float:
+    """Euclidean norm of an array.  np.linalg.norm and np.vdot call BLAS,
+    whose thread pool oversubscribes the cores; np.sum does not."""
+    return math.sqrt(float(np.sum(x * x)))
 
-    def apply_pre(x):
-        return np.fft.ifft2(np.fft.fft2(x) / pre_sym).real
 
-    x = np.zeros_like(rhs)
-    r = rhs - apply_op(x)
-    z = apply_pre(r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0:
-        return x
-    for _ in range(max_iter):
-        ap = apply_op(p)
-        alpha = rz / float(np.sum(p * ap))
-        x += alpha * p
-        r -= alpha * ap
-        if float(np.linalg.norm(r)) <= rtol * rhs_norm:
-            break
-        z = apply_pre(r)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x
+class _Equation:
+    """F(u) = Lap(u) - (1/2) B0 e^{2u} + tau0 on the problem's grid, with
+    its Jacobian Lap - B0 e^{2u} solved by preconditioned CG."""
+
+    def __init__(self, problem: VortexProblem):
+        self.lap_sym = problem.grid.laplacian_symbol()
+        self.shape = (problem.grid.n, problem.grid.n)
+        self.b0 = problem.squared_section()
+        self.tau0 = problem.tau0()
+
+    def laplacian(self, u):
+        return np.fft.irfft2(self.lap_sym * np.fft.rfft2(u), s=self.shape)
+
+    def residual(self, u):
+        """(F(u), B0 e^{2u}); the second is the Jacobian's weight."""
+        weight = self.b0 * np.exp(2.0 * u)
+        return self.laplacian(u) - 0.5 * weight + self.tau0, weight
+
+    def solve_linearized(self, weight, rhs, atol, max_iter):
+        """PCG for (-Lap + weight) delta = rhs until |residual|_2 <= atol.
+
+        The operator is symmetric positive definite for weight >= 0 not
+        identically zero; the preconditioner is (-Lap + mean(weight))^{-1}.
+        Returns (delta, iterations, capped), where capped says that
+        max_iter iterations ended above atol.
+        """
+        wbar = max(float(np.mean(weight)), 1e-12)
+        pre_sym = wbar - self.lap_sym
+        x = np.zeros_like(rhs)
+        r = rhs.copy()
+        p = rz = None
+        for it in range(max_iter + 1):
+            if _norm(r) <= atol:
+                return x, it, False
+            if it == max_iter:
+                break
+            z = np.fft.irfft2(np.fft.rfft2(r) / pre_sym, s=self.shape)
+            rz_new = float(np.sum(r * z))
+            p = z if p is None else z + (rz_new / rz) * p
+            rz = rz_new
+            ap = weight * p - self.laplacian(p)
+            alpha = rz / float(np.sum(p * ap))
+            x += alpha * p
+            r -= alpha * ap
+        return x, max_iter, True
+
+    def newton_step(self, u, resid, weight, resid_norm, eta, cg_max_iter):
+        """One inexact Newton step from u, where (resid, weight) =
+        residual(u) and resid_norm = |resid|_2.
+
+        Solves J delta = -F to relative residual eta, then takes the full
+        step, halved until |F(u + lam delta)|_2 <= (1 - 1e-4 lam (1 - eta))
+        |F(u)|_2 (Eisenstat-Walker's inexact Armijo condition).  Returns
+        (u, resid, weight, resid_norm, cg_iterations, cg_capped, backtracks)
+        at the accepted point; raises VortexNotConvergedError when no step
+        length decreases |F|.
+        """
+        delta, cg_iters, capped = self.solve_linearized(
+            weight, resid, eta * resid_norm, cg_max_iter
+        )
+        lam = 1.0
+        for backtracks in range(_MAX_BACKTRACKS + 1):
+            trial = u + lam * delta
+            with np.errstate(over="ignore", invalid="ignore"):
+                t_resid, t_weight = self.residual(trial)
+                t_norm = _norm(t_resid)
+            if t_norm <= (1.0 - _ARMIJO * lam * (1.0 - eta)) * resid_norm:
+                return trial, t_resid, t_weight, t_norm, cg_iters, capped, backtracks
+            lam *= 0.5
+        cap = f"; PCG hit cg_max_iter={cg_max_iter}" if capped else ""
+        raise VortexNotConvergedError(
+            f"line search found no decrease of |F|_2 = {resid_norm:.3g} "
+            f"after {_MAX_BACKTRACKS} halvings{cap}"
+        )
 
 
 def solve_vortex(problem: VortexProblem, cfg: SolverConfig = None) -> VortexField:
-    """Damped Newton iteration for the reduced vortex equation.
+    """Inexact Newton iteration with backtracking for the reduced vortex
+    equation (Dembo-Eisenstat-Steihaug 1982; Eisenstat-Walker 1996).
 
-    Raises VortexInfeasibleError immediately when tau0 <= 0 and
-    VortexNotConvergedError after max_newton steps above tolerance.
-    Converged means sup-norm residual < cfg.tol.
+    Each step solves the linearized equation by PCG to the forcing term
+    eta = 0.9 (|F_k| / |F_{k-1}|)^2, safeguarded and capped at 0.1, but
+    never below 0.5 tol / |F_k|: the linear model's residual then has
+    2-norm, and so sup norm, at most tol / 2, and no solve is tighter.
+
+    Raises VortexInfeasibleError immediately when tau0 <= 0, and
+    VortexNotConvergedError after max_newton steps above tolerance, after
+    a failed line search, or when a PCG solve that hit cg_max_iter leads
+    to a point still above tolerance.  Converged means sup-norm residual
+    < cfg.tol.
     """
     cfg = cfg or SolverConfig()
     tau0 = problem.tau0()
@@ -195,63 +257,55 @@ def solve_vortex(problem: VortexProblem, cfg: SolverConfig = None) -> VortexFiel
         raise VortexInfeasibleError(
             f"tau0 = {tau0:.6g} <= 0: no solutions below the threshold"
         )
-    b0 = problem.squared_section()
-    lap_sym = problem.grid.laplacian_symbol()
-    mean_b0 = float(np.mean(b0))
+    eq = _Equation(problem)
+    mean_b0 = float(np.mean(eq.b0))
     if mean_b0 <= 0:
         raise InputError("squared section vanishes identically")
 
-    u = np.full(b0.shape, 0.5 * np.log(2.0 * tau0 / mean_b0))
-    best_resid = np.inf
-    for it in range(1, cfg.max_newton + 1):
-        w = 0.5 * b0 * np.exp(2.0 * u)
-        residual = np.fft.ifft2(lap_sym * np.fft.fft2(u)).real - w + tau0
-        resid_sup = float(np.max(np.abs(residual)))
-        best_resid = min(best_resid, resid_sup)
+    u = np.full(eq.shape, 0.5 * np.log(2.0 * tau0 / mean_b0))
+    resid, weight = eq.residual(u)
+    resid_norm = _norm(resid)
+    cg_total = backtrack_total = 0
+    eta = prev_norm = None
+    capped = False
+    for it in range(cfg.max_newton + 1):
+        resid_sup = float(np.max(np.abs(resid)))
         if resid_sup < cfg.tol:
             return VortexField(
                 u=u,
                 residual_sup=resid_sup,
                 converged=True,
                 tau0=tau0,
-                newton_iterations=it - 1,
+                newton_iterations=it,
+                cg_iterations=cg_total,
+                backtracks=backtrack_total,
                 problem=problem,
             )
-        # Newton: (Lap - 2 w) delta = -residual; solve the SPD negative
-        delta = _solve_linearized(lap_sym, 2.0 * w, residual, cfg.cg_rtol, cfg.cg_max_iter)
-        u = u + cfg.damping * delta
+        if capped:
+            raise VortexNotConvergedError(
+                f"PCG hit cg_max_iter={cfg.cg_max_iter} in Newton step {it}, "
+                f"which left the sup-residual at {resid_sup:.3g}"
+            )
+        if it == cfg.max_newton:
+            break
+        if eta is None:
+            eta = _ETA_MAX
+        else:
+            ew = _EW_GAMMA * (resid_norm / prev_norm) ** 2
+            # EW's safeguard: a previous eta still large bounds the drop
+            safeguard = _EW_GAMMA * eta * eta
+            eta = min(_ETA_MAX, max(ew, safeguard) if safeguard > 0.1 else ew)
+        eta = max(eta, 0.5 * cfg.tol / resid_norm)
+        prev_norm = resid_norm
+        u, resid, weight, resid_norm, cg_iters, capped, backtracks = eq.newton_step(
+            u, resid, weight, resid_norm, eta, cfg.cg_max_iter
+        )
+        cg_total += cg_iters
+        backtrack_total += backtracks
     raise VortexNotConvergedError(
         f"no convergence after {cfg.max_newton} Newton steps "
-        f"(best sup-residual {best_resid:.3g})"
+        f"(sup-residual {resid_sup:.3g})"
     )
-
-
-def newton_refine(problem: VortexProblem, u0: np.ndarray, cfg: SolverConfig = None, steps: int = 3):
-    """Run a fixed number of damped Newton steps from a given field.
-
-    Returns (u, residual_history) with the sup-norm residual before each
-    step and after the last; used for grid-transfer consistency checks.
-    """
-    cfg = cfg or SolverConfig()
-    tau0 = problem.tau0()
-    if tau0 <= 0:
-        raise VortexInfeasibleError(f"tau0 = {tau0:.6g} <= 0")
-    b0 = problem.squared_section()
-    lap_sym = problem.grid.laplacian_symbol()
-    u = np.array(u0, dtype=float, copy=True)
-    if u.shape != b0.shape:
-        raise InputError(f"initial field shape {u.shape} != grid shape {b0.shape}")
-    residuals = []
-    for _ in range(steps):
-        w = 0.5 * b0 * np.exp(2.0 * u)
-        residual = np.fft.ifft2(lap_sym * np.fft.fft2(u)).real - w + tau0
-        residuals.append(float(np.max(np.abs(residual))))
-        delta = _solve_linearized(lap_sym, 2.0 * w, residual, cfg.cg_rtol, cfg.cg_max_iter)
-        u = u + cfg.damping * delta
-    w = 0.5 * b0 * np.exp(2.0 * u)
-    residual = np.fft.ifft2(lap_sym * np.fft.fft2(u)).real - w + tau0
-    residuals.append(float(np.max(np.abs(residual))))
-    return u, residuals
 
 
 def quantization_check(field_: VortexField, problem: VortexProblem = None) -> float:

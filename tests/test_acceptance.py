@@ -274,6 +274,11 @@ def test_criterion_8_cli_determinism():
          "--side", "above", "--seed", "9"],
         ["stromme", "refute", str(DATA / "stromme_triple.json"), "--s", "2", "--t", "1",
          "--seed", "3", "--trials", "25"],
+        ["vortex", "solve", "--N", "64", "--L", "6.283185307179586", "--d", "-1",
+         "--centers", "3.14,3.14", "--t", "0.7"],
+        ["vortex", "scan", "--N", "64", "--L", "6.283185307179586", "--d", "-1",
+         "--centers", "3.14,3.14", "--t-from", "0.05", "--t-to", "0.45", "--steps", "4",
+         "--workers", "2"],
     ]
     ok = True
     for args in invocations:

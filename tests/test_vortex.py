@@ -9,6 +9,8 @@ from sfpas.vortex import (
     VortexInfeasibleError,
     VortexNotConvergedError,
     VortexProblem,
+    _Equation,
+    _norm,
     bradlow_threshold,
     quantization_check,
     solve_vortex,
@@ -48,6 +50,16 @@ def test_constant_case_exact():
     assert quantization_check(fld) < 1e-12
 
 
+def _fft2_residual_sup(problem, u):
+    """sup |Lap u - B0 e^{2u} / 2 + tau0| with a complex-FFT Laplacian."""
+    n = problem.grid.n
+    k = 2 * np.pi * np.fft.fftfreq(n, d=problem.grid.length / n)
+    symbol = -(k[:, None] ** 2 + k[None, :] ** 2)
+    lap = np.fft.ifft2(symbol * np.fft.fft2(u)).real
+    source = 0.5 * problem.squared_section() * np.exp(2 * u)
+    return float(np.max(np.abs(lap - source + problem.tau0())))
+
+
 def test_one_vortex_solve_and_quantization():
     t_star = bradlow_threshold(-1, GRID.vol)
     problem = VortexProblem(
@@ -55,7 +67,56 @@ def test_one_vortex_solve_and_quantization():
     )
     fld = solve_vortex(problem)
     assert fld.converged and fld.residual_sup < 1e-8
+    assert fld.newton_iterations <= 5
+    assert _fft2_residual_sup(problem, fld.u) < 1e-8
     assert quantization_check(fld) < 1e-8
+
+
+def test_forcing_floor_avoids_oversolving():
+    """The last PCG solve stops at linear residual tol / 2: 9 PCG
+    iterations here, 14 when every solve runs to the Eisenstat-Walker
+    term alone."""
+    t_star = bradlow_threshold(-1, GRID.vol)
+    problem = VortexProblem(
+        grid=GRID, d=-1, centers=((np.pi, np.pi, 1),), t=t_star + 1.0
+    )
+    fld = solve_vortex(problem, SolverConfig(tol=1e-10))
+    assert fld.converged and _fft2_residual_sup(problem, fld.u) < 1e-10
+    assert fld.cg_iterations <= 10
+
+
+def test_pcg_cap_hit_is_fatal():
+    t_star = bradlow_threshold(-1, GRID.vol)
+    problem = VortexProblem(
+        grid=GRID, d=-1, centers=((np.pi, np.pi, 1),), t=t_star + 0.5
+    )
+    with pytest.raises(VortexNotConvergedError, match="cg_max_iter=1"):
+        solve_vortex(problem, SolverConfig(cg_max_iter=1))
+
+
+def test_backtracking_from_far_start():
+    """Far below the solution the full Newton step overshoots into
+    e^{2u} overflow; halving keeps every step a decrease of |F|_2."""
+    t_star = bradlow_threshold(-1, GRID.vol)
+    problem = VortexProblem(
+        grid=GRID, d=-1, centers=((np.pi, np.pi, 1),), t=t_star + 0.5
+    )
+    eq = _Equation(problem)
+    u = np.full(eq.shape, 0.5 * np.log(2 * eq.tau0 / np.mean(eq.b0)) - 5.0)
+    resid, weight = eq.residual(u)
+    norm = _norm(resid)
+    backtracks = 0
+    for _ in range(30):
+        if np.max(np.abs(resid)) < 1e-8:
+            break
+        u, resid, weight, new_norm, _, capped, halvings = eq.newton_step(
+            u, resid, weight, norm, 0.1, 2000
+        )
+        assert new_norm < norm and not capped
+        norm = new_norm
+        backtracks += halvings
+    assert backtracks > 0
+    assert _fft2_residual_sup(problem, u) < 1e-8
 
 
 def test_infeasible_below_threshold():
@@ -105,7 +166,7 @@ def test_multiplicity_two_vortex():
 
 def test_grid_refinement_consistency():
     """Injecting the solution to the doubled grid and running three Newton
-    steps drops the residual."""
+    steps from it drops the residual."""
     t_star = bradlow_threshold(-1, GRID.vol)
     problem = VortexProblem(grid=GRID, d=-1, centers=((np.pi, np.pi, 1),), t=t_star + 0.3)
     fld = solve_vortex(problem)
@@ -114,11 +175,15 @@ def test_grid_refinement_consistency():
     fine = VortexProblem(
         grid=fine_grid, d=-1, centers=((np.pi, np.pi, 1),), t=t_star + 0.3
     )
-    u0 = np.repeat(np.repeat(fld.u, 2, axis=0), 2, axis=1)
+    u = np.repeat(np.repeat(fld.u, 2, axis=0), 2, axis=1)
 
-    from sfpas.vortex import newton_refine
-
-    u1, residuals = newton_refine(fine, u0, SolverConfig(), steps=3)
+    eq = _Equation(fine)
+    resid, weight = eq.residual(u)
+    norm = _norm(resid)
+    residuals = [float(np.max(np.abs(resid)))]
+    for _ in range(3):
+        u, resid, weight, norm, *_ = eq.newton_step(u, resid, weight, norm, 0.1, 2000)
+        residuals.append(float(np.max(np.abs(resid))))
     assert residuals[-1] < residuals[0]
 
 
@@ -128,6 +193,8 @@ def test_threshold_scan_rows():
     rows = threshold_scan(GRID, -1, ((np.pi, np.pi, 1),), ts)
     assert rows[0][1] is False and np.isnan(rows[0][2])
     assert rows[1][1] is True and rows[1][2] < 1e-8
+    pooled = threshold_scan(GRID, -1, ((np.pi, np.pi, 1),), ts, workers=2)
+    assert repr(pooled) == repr(rows)
 
 
 def test_convention_audit_threshold_sign():
