@@ -224,12 +224,12 @@ def flag_stable(chain: FlagChain):
     if any(t <= 0 for t in chain.level):
         raise NonPositiveLevelError("exact flag test needs all t_i > 0")
     for i, f in enumerate(chain.maps):
-        if rank_exact(f) != chain.dims[i]:
+        kdim = chain.dims[i] - rank_exact(f)
+        if kdim:
             proj = kernel_projector(f)
             blocks = []
             for j, d in enumerate(chain.dims[:-1]):
                 blocks.append(-proj if j == i else CMatrix.zeros(d, d))
-            kdim = chain.dims[i] - rank_exact(f)
             pairing = -chain.level[i] * kdim
             witness = DestabilizerWitness(
                 xi=HermitianTuple(blocks), pairing=pairing, vertex=i + 1, kernel_dim=kdim

@@ -185,184 +185,81 @@ def check_P2(tm: ToricMatrix):
     return False, cert
 
 
-def _sample_directions(m, count=1000):
-    """Deterministic rational test directions covering all octants."""
-    k = 1
-    while (2 * k + 1) ** m - 1 < count:
-        k += 1
-    out = []
-    def rec(prefix):
-        if len(prefix) == m:
-            if any(prefix):
-                out.append(tuple(prefix))
-            return
-        for x in range(-k, k + 1):
-            if len(out) >= count:
-                return
-            rec(prefix + [x])
-    rec([])
-    return out[:count]
-
-
-def _cone_matrix(tm, cone):
-    cols = sorted(cone)
-    return [[Fraction(tm.v[i][j - 1]) for j in cols] for i in range(tm.m)], cols
-
-
 def validate_fan(fan: Fan, tm: ToricMatrix):
-    """Check simpliciality, the fan property, and completeness.
+    """Check simpliciality, the fan property, and completeness, exactly.
 
     simplicial: ray generators of every listed cone are independent.
     is_fan: listed cones are distinct, none contains another, and every
     pairwise intersection is the common face spanned by the shared rays
-    (decided by exact LPs).
-    complete: every ridge lies in exactly two maximal cones sitting on
-    opposite sides and the dual graph is connected.  For m <= 2 this
-    ridge criterion is exact; for m >= 3, 1000 deterministic rational
-    directions must also all be covered, an extra heuristic layer.
+    (one exact LP per pair of cones).
+    complete: the listed cones form a fan, all are full-dimensional,
+    and every ridge (a cone minus one ray) lies in exactly one other
+    cone.  That cone sits on the opposite side of the ridge's hyperplane:
+    on the same side the two interiors would meet, which the fan
+    property excludes.  This ridge test decides completeness of a
+    simplicial fan in every dimension.  Suppose the support S is not all
+    of R^m.  Then its boundary is nonempty, and since subspaces of
+    codimension >= 2 cannot separate a ball, the boundary contains a
+    point x in the relative interior of some ridge.  By the fan property
+    only cones that contain that ridge come near x; the ridge test puts
+    two of them on opposite sides, and together they cover a
+    neighbourhood of x, so x is not on the boundary: a contradiction.
+    Conversely every ridge of a complete fan has a cone across it.  For
+    m = 1 the ridge is empty and the test asks for exactly two rays,
+    which the fan property makes opposite.
     """
     for cone in fan.max_cones:
         for j in cone:
             if not 1 <= j <= tm.r:
                 raise InputError(f"ray index {j} outside 1..{tm.r}")
 
-    simplicial = True
-    for cone in fan.max_cones:
-        mat, cols = _cone_matrix(tm, cone)
-        cols_t = [[mat[i][j] for i in range(tm.m)] for j in range(len(cols))]
-        if _int_rank(cols_t) != len(cone):
-            simplicial = False
-
+    simplicial = all(_int_rank([tm.column(j) for j in cone]) == len(cone) for cone in fan.max_cones)
     is_fan = simplicial and len(set(fan.max_cones)) == len(fan.max_cones)
     if is_fan:
         for c1, c2 in combinations(fan.max_cones, 2):
-            if c1 <= c2 or c2 <= c1:
-                is_fan = False
-                break
-            if not _intersection_is_common_face(tm, c1, c2):
+            if c1 <= c2 or c2 <= c1 or not _intersection_is_common_face(tm, c1, c2):
                 is_fan = False
                 break
 
-    complete = bool(fan.max_cones) and is_fan and all(len(c) == tm.m for c in fan.max_cones)
-    if complete:
-        complete = _check_complete(fan, tm)
+    complete = (
+        bool(fan.max_cones)
+        and is_fan
+        and all(len(c) == tm.m for c in fan.max_cones)
+        and all(
+            sum(cone - {drop} <= other for other in fan.max_cones) == 2
+            for cone in fan.max_cones
+            for drop in cone
+        )
+    )
     return {"simplicial": simplicial, "is_fan": is_fan, "complete": complete}
 
 
 def _intersection_is_common_face(tm, c1, c2):
-    """cone(c1) ^ cone(c2) == cone(c1 ^ c2), by LP.
+    """cone(c1) ^ cone(c2) == cone(c1 ^ c2), by one LP.
 
     For simplicial cones the subset cone is automatically a face of
     both, so it is enough to rule out intersection points that need a
-    positive coefficient on a non-shared ray.
+    positive coefficient on a non-shared ray.  All variables are >= 0,
+    so the total weight on the non-shared rays has a positive maximum
+    exactly when some single non-shared ray does.
     """
     shared = c1 & c2
-    only1 = sorted(c1 - shared)
-    only2 = sorted(c2 - shared)
-    l1 = sorted(c1)
-    l2 = sorted(c2)
-    for extra in list(only1) + list(only2):
-        prog = LinearProgram()
-        lam = {j: prog.var() for j in l1}
-        mu = {j: prog.var() for j in l2}
-        for i in range(tm.m):
-            coeffs = {}
-            for j in l1:
-                coeffs[lam[j]] = Fraction(tm.v[i][j - 1])
-            for j in l2:
-                coeffs[mu[j]] = coeffs.get(mu[j], 0) - Fraction(tm.v[i][j - 1])
-            prog.add_eq(coeffs, 0)
-        prog.add_le({v: 1 for v in list(lam.values()) + list(mu.values())}, 1)
-        target = lam[extra] if extra in c1 else mu[extra]
-        res = prog.optimize({target: 1}, maximize=True)
-        if res.status != "optimal":
-            raise InternalError(f"the bounded cone-intersection LP ended {res.status}")
-        if res.value > 0:
-            return False
-    return True
-
-
-def _check_complete(fan, tm):
-    cones = list(fan.max_cones)
-    if tm.m == 1:
-        if len(cones) != 2:
-            return False
-        signs = []
-        for cone in cones:
-            (j,) = tuple(cone)
-            signs.append(1 if tm.v[0][j - 1] > 0 else -1)
-        if set(signs) != {-1, 1}:
-            return False
-    else:
-        # ridge pairing: each (m-1)-face in exactly two cones, opposite sides
-        adjacency = {i: set() for i in range(len(cones))}
-        for idx, cone in enumerate(cones):
-            for drop in cone:
-                ridge = cone - {drop}
-                partners = [k for k, other in enumerate(cones) if k != idx and ridge <= other]
-                if len(partners) != 1:
-                    return False
-                other = cones[partners[0]]
-                normal = _ridge_normal(tm, ridge)
-                if normal is None:
-                    return False
-                s1 = _dot_col(tm, normal, drop)
-                (other_drop,) = tuple(other - ridge)
-                s2 = _dot_col(tm, normal, other_drop)
-                if s1 == 0 or s2 == 0 or (s1 > 0) == (s2 > 0):
-                    return False
-                adjacency[idx].add(partners[0])
-        seen = {0}
-        stack = [0]
-        while stack:
-            cur = stack.pop()
-            for nxt in adjacency[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(cones):
-            return False
-    if tm.m <= 2:
-        return True
-
-    inverses = []
-    for cone in cones:
-        mat, _ = _cone_matrix(tm, cone)
-        inv_cols = []
-        for i in range(tm.m):
-            e = [Fraction(1) if k == i else ZERO for k in range(tm.m)]
-            col = _solve_square(mat, e)
-            if col is None:
-                return False
-            inv_cols.append(col)
-        # row i of the inverse, as a tuple, for fast mat-vec
-        inverses.append([tuple(inv_cols[j][i] for j in range(tm.m)) for i in range(tm.m)])
-    for direction in _sample_directions(tm.m):
-        x = [Fraction(c) for c in direction]
-        covered = False
-        for inv in inverses:
-            if all(sum(r * xv for r, xv in zip(row, x)) >= 0 for row in inv):
-                covered = True
-                break
-        if not covered:
-            return False
-    return True
-
-
-def _ridge_normal(tm, ridge):
-    """A nonzero functional vanishing on the rays of the ridge."""
-    rows = [[Fraction(x) for x in tm.column(j)] for j in sorted(ridge)]
-    if not rows:
-        rows = [[ZERO] * tm.m]
-    kern = kernel_basis(CMatrix(rows))
-    if len(kern) != 1:
-        return None
-    return tuple(x.re for x in kern[0])
-
-
-def _dot_col(tm, vec, j):
-    col = tm.column(j)
-    return sum(v * Fraction(c) for v, c in zip(vec, col))
+    prog = LinearProgram()
+    lam = {j: prog.var() for j in sorted(c1)}
+    mu = {j: prog.var() for j in sorted(c2)}
+    for i in range(tm.m):
+        coeffs = {}
+        for j in lam:
+            coeffs[lam[j]] = Fraction(tm.v[i][j - 1])
+        for j in mu:
+            coeffs[mu[j]] = -Fraction(tm.v[i][j - 1])
+        prog.add_eq(coeffs, 0)
+    prog.add_le({v: 1 for v in list(lam.values()) + list(mu.values())}, 1)
+    extra = [lam[j] for j in lam if j not in shared] + [mu[j] for j in mu if j not in shared]
+    res = prog.optimize({v: 1 for v in extra}, maximize=True)
+    if res.status != "optimal":
+        raise InternalError(f"the bounded cone-intersection LP ended {res.status}")
+    return res.value == 0
 
 
 class FaceFunctional:
@@ -381,28 +278,13 @@ class FaceFunctional:
 
     def evaluate(self, x):
         """Value at a point of span(cone); InputError off the span."""
-        x = [Fraction(v) for v in x]
         cols = self._ray_cols
-        m = len(x)
         k = len(cols)
-        aug = [[cols[j][i] for j in range(k)] + [x[i]] for i in range(m)]
-        mat = CMatrix([[Fraction(v) for v in row[:-1]] for row in aug])
-        rank_a = rank_exact(mat)
-        rank_aug = rank_exact(CMatrix([[Fraction(v) for v in row] for row in aug]))
-        if rank_aug != rank_a:
+        aug = [[col[i] for col in cols] + [Fraction(xi)] for i, xi in enumerate(x)]
+        pivots = gauss_jordan(aug, k + 1)
+        if k in pivots:
             raise InputError("point is outside the span of the cone")
-        coeffs = _solve_least(aug, k)
-        return sum(c * v for c, v in zip(coeffs, self._ray_vals))
-
-
-def _solve_least(aug, k):
-    """One exact solution of an overdetermined consistent system."""
-    rows = [row[:] for row in aug]
-    pivots = gauss_jordan(rows, k)
-    sol = [ZERO] * k
-    for row, c in zip(rows, pivots):
-        sol[c] = row[-1]
-    return sol
+        return sum(row[-1] * self._ray_vals[c] for row, c in zip(aug, pivots))
 
 
 def face_functional(cone, a, tm: ToricMatrix) -> FaceFunctional:
@@ -453,8 +335,10 @@ def k_membership(fan: Fan, tm: ToricMatrix, a):
     K needs <f_sigma^{a'}, v_j> >= -a'_j for all full cones and all j,
     K0 needs strictness whenever ray j is not a face of sigma.  Lower
     faces impose nothing new: their functionals are restrictions of the
-    full-cone ones.  Decided by exact LP with a maximized slack for the
-    strict system.
+    full-cone ones.  Decided by one exact LP: the pairing rows carry a
+    slack delta in [0, 1], maximized.  delta = 0 gives the non-strict
+    system, so the LP is feasible iff the class is in K, and its optimum
+    is positive iff the class is in K0.
     """
     a = [Fraction(x) for x in a]
     if len(a) != tm.r:
@@ -462,42 +346,33 @@ def k_membership(fan: Fan, tm: ToricMatrix, a):
     if any(len(c) != tm.m for c in fan.max_cones):
         raise InputError("membership needs full-dimensional maximal cones")
     rows = _pairing_rows(tm, fan)
+    prog = LinearProgram()
+    ys = [prog.free_var() for _ in range(tm.m)]
+    delta = prog.var()
 
-    def build(strict):
-        prog = LinearProgram()
-        ys = [prog.free_var() for _ in range(tm.m)]
-        delta = prog.var() if strict else None
+    def rep_coeffs(base_row):
+        # a'_j = a_j + sum_i y_i v[i][j]; returns (coeffs dict, const)
+        coeffs = {}
+        const = ZERO
+        for jj, cf in base_row.items():
+            const += cf * a[jj]
+            for i in range(tm.m):
+                coeffs[ys[i]] = coeffs.get(ys[i], ZERO) + cf * Fraction(tm.v[i][jj])
+        return coeffs, const
 
-        def rep_coeffs(base_row):
-            # a'_j = a_j + sum_i y_i v[i][j]; returns (coeffs dict, const)
-            coeffs = {}
-            const = ZERO
-            for jj, cf in base_row.items():
-                const += cf * a[jj]
-                for i in range(tm.m):
-                    coeffs[ys[i]] = coeffs.get(ys[i], ZERO) + cf * Fraction(tm.v[i][jj])
-            return coeffs, const
-
-        for j in range(tm.r):
-            coeffs, const = rep_coeffs({j: Fraction(1)})
-            prog.add_ge(coeffs, -const)
-        for _, _, row in rows:
-            coeffs, const = rep_coeffs(row)
-            if strict:
-                coeffs[delta] = coeffs.get(delta, ZERO) - 1
-            prog.add_ge(coeffs, -const)
-        if strict:
-            prog.add_le({delta: 1}, 1)
-        return prog, delta
-
-    prog, _ = build(strict=False)
-    in_k = prog.feasible() is not None
-    in_k0 = False
-    if in_k:
-        prog, delta = build(strict=True)
-        res = prog.optimize({delta: 1}, maximize=True)
-        in_k0 = res.status == "optimal" and res.value > 0
-    return {"in_K": in_k, "in_K0": in_k0}
+    for j in range(tm.r):
+        coeffs, const = rep_coeffs({j: Fraction(1)})
+        prog.add_ge(coeffs, -const)
+    for _, _, row in rows:
+        coeffs, const = rep_coeffs(row)
+        coeffs[delta] = -1
+        prog.add_ge(coeffs, -const)
+    prog.add_le({delta: 1}, 1)
+    res = prog.optimize({delta: 1}, maximize=True)
+    if res.status == "unbounded":
+        raise InternalError("the bounded membership LP ended unbounded")
+    in_k = res.status == "optimal"
+    return {"in_K": in_k, "in_K0": in_k and res.value > 0}
 
 
 def u_membership(pattern: SupportPattern, fan: Fan, r: int) -> bool:

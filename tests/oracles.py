@@ -1,13 +1,16 @@
-"""Independent brute-force oracle for the pencil/minor stability test,
-plus symmetry-deduplicated enumeration of small integer triples.
+"""Independent brute-force oracles for the pencil/minor stability test
+and for toric fan completeness, plus symmetry-deduplicated enumeration
+of small integer triples.
 
 The oracle must not share code paths with the product implementation:
 ranks are evaluated at 50 fixed rational points (the product does
 symbolic elimination over the polynomial ring), and the maximal minors
 are reconstructed by Lagrange interpolation from integer determinant
 evaluations with a monic Euclid gcd over Q (the product uses a Bareiss
-determinant and a subresultant remainder sequence).  The integer rank
-and determinant below are the oracle's own; nothing here imports sfpas.
+determinant and a subresultant remainder sequence).  The fan oracle
+tests points instead of ridges (the product pairs up ridges).  The
+integer rank and determinant and the rational solve below are the
+oracle's own; nothing here imports sfpas.
 """
 
 from fractions import Fraction
@@ -378,3 +381,52 @@ def sweep_shapes(max_u=2, max_v=3, max_w=2):
             for v in range(u, min(max_v, u + w) + 1):
                 shapes.append((u, v, w))
     return shapes
+
+
+def solve_fraction(cols, point):
+    """Coefficients c with sum_i c_i cols[i] = point, for n independent
+    columns of length n, by elimination with the largest pivot; None
+    when the columns are dependent."""
+    n = len(point)
+    aug = [[Fraction(col[i]) for col in cols] + [Fraction(point[i])] for i in range(n)]
+    for c in range(n):
+        piv = max(range(c, n), key=lambda i: abs(aug[i][c]))
+        if aug[piv][c] == 0:
+            return None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        for i in range(c + 1, n):
+            f = aug[i][c] / aug[c][c]
+            aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    sol = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        sol[i] = (aug[i][n] - sum(aug[i][j] * sol[j] for j in range(i + 1, n))) / aug[i][i]
+    return sol
+
+
+def oracle_fan_covers_facet_exits(rays, cones, eps=Fraction(1, 10**6)):
+    """Whether the cones cover, for each facet of each cone, the point
+    just outside the facet's barycentre: b - eps * v, with b the mean of
+    the facet's rays and v the ray the facet leaves out.
+
+    rays holds integer vectors (ray j is rays[j - 1]); cones are
+    full-dimensional simplicial cones given as 1-based index sets.  For
+    a fan of such cones with small entries this holds iff the fan is
+    complete: near the barycentre only cones containing the facet reach,
+    so the point is covered iff some cone continues across the facet.
+    """
+    gens = [[rays[j - 1] for j in sorted(cone)] for cone in cones]
+    for cone in cones:
+        for drop in cone:
+            facet = [rays[j - 1] for j in cone if j != drop]
+            out = rays[drop - 1]
+            size = max(len(facet), 1)
+            point = [sum(Fraction(v[i]) for v in facet) / size - eps * out[i] for i in range(len(out))]
+            covered = False
+            for g in gens:
+                coeffs = solve_fraction(g, point)
+                if coeffs is not None and all(c >= 0 for c in coeffs):
+                    covered = True
+                    break
+            if not covered:
+                return False
+    return True

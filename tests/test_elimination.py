@@ -3,15 +3,16 @@
 The Bareiss loop is reached through ``rank_exact`` (Z[i]) and
 ``bareiss_det_poly`` / ``bareiss_rank_poly`` (Z[i][x]); the Gauss-Jordan
 loop through ``rref``, ``_invert_exact``, ``_solve_square`` and
-``_solve_least``.  Sizes stay at most 4 x 4 with small entries, and
-hypothesis runs derandomized, so every run checks the same examples.
+``FaceFunctional.evaluate``.  Sizes stay at most 4 x 4 with small
+entries, and hypothesis runs derandomized, so every run checks the same
+examples.
 """
 
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
@@ -20,7 +21,7 @@ from sfpas.errors import InputError
 from sfpas.families import _invert_exact
 from sfpas.linalg import ZERO, CMatrix, GaussianRational, rank_exact, rref
 from sfpas.polys import bareiss_det_poly, bareiss_rank_poly, poly_trim
-from sfpas.toric import Fan, ToricMatrix, _solve_least, _solve_square, k_membership
+from sfpas.toric import Fan, ToricMatrix, _solve_square, face_functional, k_membership
 
 SETTINGS = settings(max_examples=80, derandomize=True, deadline=None)
 X = sympy.Symbol("x")
@@ -118,15 +119,30 @@ def test_solve_square_matches_sympy(rows, rhs):
 
 
 @SETTINGS
-@given(matrices(st.integers(-3, 3)), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
-def test_solve_least_matches_sympy(rows, x):
-    # a consistent system A s = A x; both sides set the free unknowns to 0
-    k = len(rows[0])
-    rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
-    sol = _solve_least([[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(rows, rhs)], k)
-    ref, params = sympy.Matrix(rows).gauss_jordan_solve(sympy.Matrix(rhs))
-    ref = ref.subs({p: 0 for p in params})
-    assert [sympy.Rational(q.numerator, q.denominator) for q in sol] == list(ref)
+@given(
+    matrices(st.integers(-3, 3)),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    st.lists(st.one_of(st.just(0), st.integers(-2, 2)), min_size=4, max_size=4),
+    st.lists(small_fraction, min_size=4, max_size=4),
+)
+def test_face_functional_evaluate_matches_sympy(rows, s, e, a):
+    # the cone is spanned by the columns of rows; the point A s + e is off
+    # the span exactly when sympy finds the augmented system inconsistent
+    m, k = len(rows), len(rows[0])
+    ref = sympy.Matrix(rows)
+    assume(ref.rank() == k)
+    identity = [[int(i == j) for j in range(m)] for i in range(m)]
+    tm = ToricMatrix([row + ident for row, ident in zip(rows, identity)])
+    level = a[:k] + [Fraction(0)] * m
+    f = face_functional(range(1, k + 1), level, tm)
+    x = [sum(r * c for r, c in zip(row, s)) + d for row, d in zip(rows, e)]
+    if ref.row_join(sympy.Matrix(x)).rank() > k:
+        with pytest.raises(InputError, match="outside the span"):
+            f.evaluate(x)
+    else:
+        coeffs, _ = ref.gauss_jordan_solve(sympy.Matrix(x))
+        expected = -sum(c * sympy.Rational(q.numerator, q.denominator) for c, q in zip(coeffs, a))
+        assert sympy.Rational(f.evaluate(x)) == expected
 
 
 def test_invert_exact_singular_raises():

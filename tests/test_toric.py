@@ -26,6 +26,13 @@ P2_MATRIX = ToricMatrix([[1, 0, -1], [0, 1, -1]])
 P2_FAN = Fan([[1, 2], [2, 3], [1, 3]])
 P1XP1_MATRIX = ToricMatrix([[1, -1, 0, 0], [0, 0, 1, -1]])
 P1XP1_FAN = Fan([[1, 3], [1, 4], [2, 3], [2, 4]])
+F1_MATRIX = ToricMatrix([[1, 0, -1, 0], [0, 1, 1, -1]])
+F1_FAN = Fan([[1, 2], [2, 3], [3, 4], [1, 4]])
+P3_MATRIX = ToricMatrix([[1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]])
+P3_FAN = Fan([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
+# P3 with the extra ray 5 = (1, 1, 1), star-subdividing the cone {1, 2, 3}
+P3_STAR_MATRIX = ToricMatrix([[1, 0, 0, -1, 1], [0, 1, 0, -1, 1], [0, 0, 1, -1, 1]])
+P3_STAR_FAN = Fan([[1, 2, 5], [1, 3, 5], [2, 3, 5], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
 
 
 def test_toric_matrix_validation():
@@ -82,6 +89,18 @@ def test_validate_fan_rejects_overlap():
     assert not flags["is_fan"]
 
 
+def test_validate_fans_in_dimension_three():
+    complete = {"simplicial": True, "is_fan": True, "complete": True}
+    assert validate_fan(P3_FAN, P3_MATRIX) == complete
+    assert validate_fan(P3_STAR_FAN, P3_STAR_MATRIX) == complete
+    # one cone removed: still a fan, but the removed cone is uncovered
+    holed = Fan([[1, 2, 4], [1, 3, 4], [2, 3, 4]])
+    assert validate_fan(holed, P3_MATRIX) == {"simplicial": True, "is_fan": True, "complete": False}
+    # cone(e1, e2, (1, 1, 1)) lies inside cone(e1, e2, e3): not a fan
+    overlap = Fan([[1, 2, 3], [1, 2, 5]])
+    assert validate_fan(overlap, P3_STAR_MATRIX) == {"simplicial": True, "is_fan": False, "complete": False}
+
+
 def test_validate_fan_bad_ray_index():
     with pytest.raises(InputError):
         validate_fan(Fan([[1], [3]]), P1_MATRIX)
@@ -119,6 +138,26 @@ def test_k_membership_p1():
     assert k_membership(P1_FAN, P1_MATRIX, [1, 1]) == {"in_K": True, "in_K0": True}
     assert k_membership(P1_FAN, P1_MATRIX, [1, -1]) == {"in_K": True, "in_K0": False}
     assert k_membership(P1_FAN, P1_MATRIX, [-1, -1]) == {"in_K": False, "in_K0": False}
+
+
+@pytest.mark.parametrize(
+    "tm, fan, level, expected",
+    [
+        # F1: (1, 1, 1, 1) is ample; D1 pulls back O(1) from the base P1
+        # and sits on a wall of the nef cone; -D1 is not effective
+        (F1_MATRIX, F1_FAN, [1, 1, 1, 1], (True, True)),
+        (F1_MATRIX, F1_FAN, [1, 0, 0, 0], (True, False)),
+        (F1_MATRIX, F1_FAN, [0, 0, 0, 1], (True, False)),
+        (F1_MATRIX, F1_FAN, [-1, 0, 0, 0], (False, False)),
+        # P3: the class is the degree a_1 + ... + a_4
+        (P3_MATRIX, P3_FAN, [1, 0, 0, 0], (True, True)),
+        (P3_MATRIX, P3_FAN, [1, 0, 0, -1], (True, False)),
+        (P3_MATRIX, P3_FAN, [-1, 0, 0, 0], (False, False)),
+    ],
+)
+def test_k_membership_ample_wall_and_outside(tm, fan, level, expected):
+    res = k_membership(fan, tm, level)
+    assert (res["in_K"], res["in_K0"]) == expected
 
 
 def test_k_membership_depends_only_on_class():
