@@ -4,8 +4,10 @@ Flag chains are decided by injectivity of every map (positive levels
 only); failures come with an explicit destabilizing Hermitian tuple,
 namely minus the orthogonal projector onto the offending kernel.
 Kronecker-style triples (k, l : U -> V, m : W -> V) are decided by the
-generic rank of the pencil x k + y l and by the absence of common
-projective zeros among the maximal minors of [x k + y l | m].
+generic rank of the pencil x k + y l (ranks at u + 1 points) and by the
+rank of [x k + y l | m] at every point of P^1 (a Wong sequence of the
+pencil on the left null space of m), all with scalar exact linear
+algebra over Q(i).
 
 Near-unit level ratios are handled symbolically: s = 1 + eps is the
 pair (1, 1) compared lexicographically in (value, eps-derivative), so
@@ -32,16 +34,9 @@ from .linalg import (
     matrix_from_columns,
     rank_exact,
 )
-from .polys import (
-    BinaryForm,
-    bareiss_det_poly,
-    bareiss_rank_poly,
-    binary_forms_common_zero_free,
-    poly_trim,
-)
 from .verdict import Verdict
 
-MAX_PENCIL_DIM = 8  # desk-scale guard on minor enumeration
+MAX_PENCIL_DIM = 8  # desk-scale guard on exact Gaussian-rational elimination
 
 
 class NonPositiveLevelError(InputError):
@@ -317,54 +312,70 @@ class StrommeTriple:
         return StrommeTriple(mat(k_rows, v, u), mat(l_rows, v, u), mat(m_rows, v, w))
 
 
-def _pencil_polys(t: StrommeTriple):
-    """Entries of x k + y l dehomogenized at y = 1: the polys l_ij + k_ij x."""
-    return [
-        [poly_trim((t.l.entries[i][j], t.k.entries[i][j])) for j in range(t.u)]
-        for i in range(t.v)
-    ]
+def _transpose(a: CMatrix) -> CMatrix:
+    return matrix_from_columns(a.entries, a.cols)
+
+
+def _pencil_full_rank_everywhere(a: CMatrix, b: CMatrix) -> bool:
+    """Whether x a + y b (u x n, u >= n) has rank n at every (x : y) in P^1.
+
+    (1 : 0) is checked by rank_exact(a).  With a injective, the Wong
+    sequence V_0 = Q(i)^n, V_{i+1} = {c in V_i : b c in a V_i} falls to
+    {0} iff there is no drop at a finite point.  Proof sketch: a nonzero
+    limit V has b V in a V with a injective on V, so a^{-1} b maps V to
+    itself and has an eigenvector c over C, b c = lam a c, and the pencil
+    drops rank at (-lam : 1).  Conversely a kernel vector c of x a + b
+    has b c = -x a c, so span(c) lies in every V_i.  Extending the field
+    commutes with each step, so the sequence over Q(i) decides drops at
+    complex points too.
+
+    One step: the kernel of [b V_i | -a V_i] is {(y, z) : b V_i y =
+    a V_i z}, and its y-parts are coordinates of V_{i+1} in V_i; they
+    are independent because a V_i is injective.  The sequence carries
+    only a V_i and b V_i.  The dimension falls at every step until the
+    limit, so there are at most n + 1 steps.
+    """
+    n = a.cols
+    if rank_exact(a) < n:
+        return False
+    av, bv = a, b
+    while av.cols:
+        d = av.cols
+        ker = kernel_basis(CMatrix([rb + tuple(-x for x in ra) for rb, ra in zip(bv.entries, av.entries)]))
+        if len(ker) == d:
+            return False  # a nonzero limit
+        y = matrix_from_columns([vec[:d] for vec in ker], d)
+        av, bv = av @ y, bv @ y
+    return True
 
 
 def stromme_check(t: StrommeTriple):
     """The two exact nondegeneracy conditions of the triple.
 
-    cond1: the pencil x k + y l has generic rank u, computed over the
-    univariate function field after substituting y = 1 (a generic line,
-    so no separate check of k alone is needed).
-    cond2: the maximal minors of [x k + y l | m], homogeneous binary
-    forms, have no common projective zero: some degree-0 minor is
-    nonzero, or the subresultant gcd of the nonzero minors has degree 0
-    with no shared root at infinity; all minors vanishing identically
-    fails.
+    cond1: the pencil x k + y l has generic rank u.  Every u x u minor
+    of x k + l has degree at most u in x, so the generic rank is u iff
+    x0 k + l has rank u at one of x0 = 0, 1, ..., u.
+    cond2: [x k + y l | m] has rank v at every (x : y) in P^1.  A row
+    vector annihilates it iff it is c N with N a basis of the left null
+    space of m (n' rows) and c (x N k + y N l) = 0, so cond2 holds iff
+    the n' x u pencil x N k + y N l has rank n' everywhere: true when
+    n' = 0, false when n' > u, and otherwise decided on the transposes
+    by _pencil_full_rank_everywhere.
     is_triple = cond1 and cond2.
     """
-    pencil = _pencil_polys(t)
-    cond1 = bareiss_rank_poly(pencil, t.v, t.u) == t.u
+    cond1 = any(rank_exact(t.k.scale(x0) + t.l) == t.u for x0 in range(t.u + 1))
 
-    if t.v == 0:
-        cond2 = True  # the empty minor is the nonzero constant 1
-    elif t.u + t.w < t.v:
+    if t.w:
+        left = matrix_from_columns(kernel_basis(_transpose(t.m)), t.v)  # N^T, v x n'
+    else:
+        left = CMatrix.identity(t.v)
+    n = left.cols
+    if n == 0:
+        cond2 = True
+    elif n > t.u:
         cond2 = False
     else:
-        const_cols = [
-            [t.m.entries[i][j] for i in range(t.v)] for j in range(t.w)
-        ]
-        forms = []
-        for subset in combinations(range(t.u + t.w), t.v):
-            pencil_cols = [j for j in subset if j < t.u]
-            mat = []
-            for i in range(t.v):
-                row = []
-                for j in subset:
-                    if j < t.u:
-                        row.append(pencil[i][j])
-                    else:
-                        c = const_cols[j - t.u][i]
-                        row.append((c,) if not c.is_zero() else ())
-                mat.append(row)
-            det = bareiss_det_poly(mat)
-            forms.append(BinaryForm(det, len(pencil_cols)))
-        cond2 = binary_forms_common_zero_free(forms)
+        cond2 = _pencil_full_rank_everywhere(_transpose(t.k) @ left, _transpose(t.l) @ left)
     return {"cond1": cond1, "cond2": cond2, "is_triple": cond1 and cond2}
 
 

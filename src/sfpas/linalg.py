@@ -4,9 +4,10 @@ Exact scalars are Gaussian rationals (pairs of ``fractions.Fraction``);
 float scalars are 64-bit complex doubles.  Every operation is pure and
 deterministic: elimination always pivots on the first nonzero entry in
 row-major order, so results are reproducible bit for bit.  The one
-fraction-free Bareiss loop and the one Gauss-Jordan loop below serve
-every exact module.  Only the float helpers import numpy, so the exact
-modules load without it.
+fraction-free Bareiss loop (ranks over Z[i]) and the one Gauss-Jordan
+loop (reduced forms, kernels, inverses) below serve every exact module.
+Only the float helpers import numpy, so the exact modules load without
+it.
 
 JSON conventions: a rational is the string ``"p/q"`` (or ``"p"``), a
 complex scalar is ``{"re": "p/q", "im": "p/q"}``, a matrix is a
@@ -379,42 +380,41 @@ class HermitianTuple:
 # -- the exact elimination core ----------------------------------------
 
 
-def bareiss(m, ncols, step, zero, one):
-    """Fraction-free Bareiss elimination of the rows ``m``, in place.
+def bareiss(m, ncols):
+    """Fraction-free Bareiss elimination of rows of Gaussian integers,
+    given as (re, im) pairs, in place; returns the rank.
 
-    The entries lie in an integral domain with neutral elements ``zero``
-    and ``one``, and ``step(p, a, h, b, prev)`` returns the quotient
-    (p*a - h*b) / prev, which is exact in the domain (Bareiss 1968).
+    Each update (p*a - h*b) / q, with q the previous pivot, is exact in
+    Z[i] (Bareiss 1968).
     Pivots on the first nonzero entry of each column, in row-major
-    order, and leaves ``m`` in row echelon form.  Returns (rank, odd),
-    where ``odd`` is the parity of the row swaps; for a square matrix of
-    full rank the last entry of ``m`` is then (-1)**odd * det.
+    order, and leaves ``m`` in row echelon form.
     """
     nrows = len(m)
     rank = 0
-    odd = False
-    prev = one
+    qr, qi = 1, 0
     for col in range(ncols):
         for i in range(rank, nrows):
-            if m[i][col] != zero:
+            if m[i][col] != (0, 0):
                 break
         else:
             continue
-        if i != rank:
-            m[rank], m[i] = m[i], m[rank]
-            odd = not odd
+        m[rank], m[i] = m[i], m[rank]
         top = m[rank]
-        p = top[col]
+        pr, pi = top[col]
+        d = qr * qr + qi * qi
         for row in m[rank + 1:]:
-            h = row[col]
+            hr, hi = row[col]
             for j in range(col + 1, ncols):
-                row[j] = step(p, row[j], h, top[j], prev)
-            row[col] = zero
-        prev = p
+                (ar, ai), (br, bi) = row[j], top[j]
+                re = pr * ar - pi * ai - hr * br + hi * bi
+                im = pr * ai + pi * ar - hr * bi - hi * br
+                row[j] = ((re * qr + im * qi) // d, (im * qr - re * qi) // d)
+            row[col] = (0, 0)
+        qr, qi = pr, pi
         rank += 1
         if rank == nrows:
             break
-    return rank, odd
+    return rank
 
 
 def gauss_jordan(rows, ncols):
@@ -448,14 +448,6 @@ def gauss_jordan(rows, ncols):
     return pivots
 
 
-def _gint_step(p, a, h, b, prev):
-    # (p*a - h*b) / prev over the Gaussian integers, as (re, im) pairs
-    re = p[0] * a[0] - p[1] * a[1] - h[0] * b[0] + h[1] * b[1]
-    im = p[0] * a[1] + p[1] * a[0] - h[0] * b[1] - h[1] * b[0]
-    d = prev[0] * prev[0] + prev[1] * prev[1]
-    return ((re * prev[0] + im * prev[1]) // d, (im * prev[0] - re * prev[1]) // d)
-
-
 def _to_gaussian_integer_rows(a: CMatrix):
     """Scale each row by the lcm of component denominators.
 
@@ -479,7 +471,7 @@ def rank_exact(a: CMatrix) -> int:
     """
     if a.mode != "exact":
         raise ModeError("rank_exact requires exact mode")
-    return bareiss(_to_gaussian_integer_rows(a), a.cols, _gint_step, (0, 0), (1, 0))[0]
+    return bareiss(_to_gaussian_integer_rows(a), a.cols)
 
 
 def rref(a: CMatrix):

@@ -250,17 +250,25 @@ class FlowConfig:
     max_iter: int = 100_000
     tol: float = 1e-8
     seed: int = 0
-    armijo_c: float = 1e-4
-    plateau_window: int = 100
-    plateau_rtol: float = 1e-14
-    stabilizer_tol: float = 1e-6
-    norm_floor: float = 1e-2  # properness witness must keep this much norm
     # relative-gradient threshold recognizing a critical point of the
     # energy: there the moment value itself is a numerical destabilizer
     crit_rtol: float = 1e-6
-    # a flow reaching the zero level only through a group element this
-    # badly conditioned certifies nothing (stratum leakage via roundoff)
-    max_group_cond: float = 1e8
+
+
+# sufficient-decrease constant of the Armijo backtracking
+ARMIJO_C = 1e-4
+# a flow stops at a plateau when E fell by at most PLATEAU_RTOL
+# (relative) over PLATEAU_WINDOW accepted steps
+PLATEAU_WINDOW = 100
+PLATEAU_RTOL = 1e-14
+# a converged flow is StrictlySemistable when the smallest singular
+# value of the infinitesimal action at its limit is at most this
+STABILIZER_TOL = 1e-6
+# a properness witness must keep this much norm
+NORM_FLOOR = 1e-2
+# a flow reaching the zero level only through a group element this
+# badly conditioned certifies nothing (stratum leakage via roundoff)
+MAX_GROUP_COND = 1e8
 
 
 class StopReason(str, enum.Enum):
@@ -268,7 +276,7 @@ class StopReason(str, enum.Enum):
 
     CONVERGED = "converged"  # energy < tol^2
     CRITICAL = "critical"  # zero or relatively tiny gradient
-    PLATEAU = "plateau"  # energy flat over plateau_window steps
+    PLATEAU = "plateau"  # energy flat over PLATEAU_WINDOW steps
     STEP_FLOOR = "step_floor"  # no step >= 1e-18 passes the Armijo test
     WEIGHT_BOUND = "weight_bound"  # moment-weight certificate of instability
     DIVERGED = "diverged"  # energy or gradient not finite
@@ -513,7 +521,7 @@ def _point_norm(maps):
 # scales by e^{s (lam - kap)}.  When every block with kap < lam is zero
 # the limit exists and w(x, eta) = -sum_v t_v Tr eta_v, the level part of
 # <mu(x), eta>.  The thresholds below are heuristics, like
-# FlowConfig.stabilizer_tol; the inequality itself is exact.
+# STABILIZER_TOL; the inequality itself is exact.
 
 # accepted steps between two certificate checks; the first is at step 0
 WEIGHT_CHECK_EVERY = 10
@@ -587,7 +595,7 @@ def kempf_ness_flow(
 
     Every step moves through the group exponential (_OrbitStepper), so
     the iterate never leaves the orbit, with Armijo backtracking
-    (c = cfg.armijo_c, halving, starting from twice the last accepted
+    (c = ARMIJO_C, halving, starting from twice the last accepted
     step), so E never rises.  A trial whose group factors or energy are
     not finite (the exponential overflowed at a long step) is rejected
     like one that fails the Armijo test.
@@ -599,7 +607,7 @@ def kempf_ness_flow(
     E >= 10 tol^2; WEIGHT_BOUND when the moment-weight certificate bounds
     inf |mu| over the orbit above sqrt(10) tol; STEP_FLOOR when no step
     down to 1e-18 is accepted; PLATEAU when E fell by at most
-    plateau_rtol (relative) over plateau_window accepted steps.
+    PLATEAU_RTOL (relative) over PLATEAU_WINDOW accepted steps.
 
     The certificate (vertex-product symmetry only) runs at step 0 and
     every WEIGHT_CHECK_EVERY accepted steps on the eigendecompositions
@@ -612,9 +620,9 @@ def kempf_ness_flow(
     discarded_certificates and never acted on.
 
     Verdicts: CONVERGED gives Stable, StrictlySemistable when the
-    stabilizer estimate is at most stabilizer_tol, or Borderline when
+    stabilizer estimate is at most STABILIZER_TOL, or Borderline when
     the accumulated group element is worse conditioned than
-    max_group_cond; WEIGHT_BOUND and DIVERGED give Unstable; CRITICAL,
+    MAX_GROUP_COND; WEIGHT_BOUND and DIVERGED give Unstable; CRITICAL,
     PLATEAU and STEP_FLOOR give Unstable when E >= 10 tol^2 and
     Borderline otherwise; MAX_ITER gives Borderline.  The certificate
     only ever ends a flow as Unstable, and at level zero B is 0, so it
@@ -682,7 +690,7 @@ def kempf_ness_flow(
                 e_new, d_new = _energy_and_data(problem, trial, lvl, coker)
             if (
                 math.isfinite(e_new)
-                and e_new <= energy - cfg.armijo_c * s * gnorm2
+                and e_new <= energy - ARMIJO_C * s * gnorm2
                 and _all_finite(factors)
             ):
                 maps, energy, data = trial, e_new, d_new
@@ -698,8 +706,8 @@ def kempf_ness_flow(
         history.append(float(energy))
         step = min(s * 2.0, 1e6)
         iterations += 1
-        if iterations % cfg.plateau_window == 0:
-            if window_start - energy <= cfg.plateau_rtol * max(window_start, 1e-300):
+        if iterations % PLATEAU_WINDOW == 0:
+            if window_start - energy <= PLATEAU_RTOL * max(window_start, 1e-300):
                 reason = StopReason.PLATEAU
                 break
             window_start = energy
@@ -714,13 +722,13 @@ def kempf_ness_flow(
                 group_cond = max(group_cond, float(svals[0] / svals[-1]))
     sigma_min = float("nan")
     if reason is StopReason.CONVERGED:
-        if group_cond > cfg.max_group_cond:
+        if group_cond > MAX_GROUP_COND:
             verdict = Verdict.BORDERLINE  # zero reached only at the orbit's edge
         else:
             sigma_min = _stabilizer_sigma_min(problem, maps, coker)
             verdict = (
                 Verdict.STABLE
-                if sigma_min > cfg.stabilizer_tol
+                if sigma_min > STABILIZER_TOL
                 else Verdict.STRICTLY_SEMISTABLE
             )
     elif reason in (StopReason.WEIGHT_BOUND, StopReason.DIVERGED):
@@ -922,7 +930,7 @@ def properness_refuter(problem: QuiverProblem, cfg: FlowConfig = None, trials: i
     """Search for a nonzero near-solution of mu_0 = 0.
 
     Runs the flow at level zero from unit-norm random starts; a flow
-    limit with energy < tol^2 whose norm stays above cfg.norm_floor is
+    limit with energy < tol^2 whose norm stays above NORM_FLOOR is
     returned unit-renormalized.  A None result is NOT a properness
     proof: the search is refutation-only.
     """
@@ -934,7 +942,7 @@ def properness_refuter(problem: QuiverProblem, cfg: FlowConfig = None, trials: i
         res = kempf_ness_flow(problem, start, level, cfg)
         maps = {k: m.to_numpy() for k, m in res.final_point.maps.items()}
         norm = _point_norm(maps)
-        if res.converged and norm >= cfg.norm_floor:
+        if res.converged and norm >= NORM_FLOOR:
             unit = {k: CMatrix.from_numpy(v / norm) for k, v in maps.items()}
             return QuiverPoint(unit)
     return None

@@ -265,10 +265,11 @@ def _intersection_is_common_face(tm, c1, c2):
 class FaceFunctional:
     """The unique functional on span(cone) with <f, v_j> = -a_j on its rays."""
 
-    __slots__ = ("cone", "_ray_cols", "_ray_vals", "vector")
+    __slots__ = ("cone", "m", "_ray_cols", "_ray_vals", "vector")
 
-    def __init__(self, cone, ray_cols, ray_vals, vector=None):
+    def __init__(self, cone, m, ray_cols, ray_vals, vector=None):
         object.__setattr__(self, "cone", cone)
+        object.__setattr__(self, "m", m)  # the lattice dimension; the cone may be empty
         object.__setattr__(self, "_ray_cols", ray_cols)
         object.__setattr__(self, "_ray_vals", ray_vals)
         object.__setattr__(self, "vector", vector)
@@ -277,7 +278,10 @@ class FaceFunctional:
         raise AttributeError("FaceFunctional is immutable")
 
     def evaluate(self, x):
-        """Value at a point of span(cone); InputError off the span."""
+        """Value at a point of span(cone); InputError off the span or for a
+        point whose length is not the lattice dimension m."""
+        if len(x) != self.m:
+            raise InputError(f"point must have length {self.m}")
         cols = self._ray_cols
         k = len(cols)
         aug = [[col[i] for col in cols] + [Fraction(xi)] for i, xi in enumerate(x)]
@@ -304,7 +308,7 @@ def face_functional(cone, a, tm: ToricMatrix) -> FaceFunctional:
         rows = [[cols[j][i] for j in range(len(cols))] for i in range(tm.m)]
         transposed = [[rows[i][j] for i in range(tm.m)] for j in range(len(cols))]
         vector = _solve_square(transposed, vals)
-    return FaceFunctional(cone, cols, vals, vector)
+    return FaceFunctional(cone, tm.m, cols, vals, vector)
 
 
 def _pairing_rows(tm, fan):
@@ -392,6 +396,27 @@ def u_membership(pattern: SupportPattern, fan: Fan, r: int) -> bool:
     return False
 
 
+def _support_lp(tm: ToricMatrix, supp, target, strict=False):
+    """The LP of b >= 0 supported on supp with p_v(b) = target; with
+    strict, also a slack delta <= 1 with b_j >= delta on supp."""
+    prog = LinearProgram()
+    bs = {j: prog.var() for j in supp}
+    delta = prog.var() if strict else None
+    for k, vec in enumerate(tm.coker):
+        coeffs = {bs[j]: vec[j - 1] for j in supp}
+        prog.add_eq(coeffs, target[k])
+    if strict:
+        for j in supp:
+            prog.add_ge({bs[j]: 1, delta: -1}, 0)
+        prog.add_le({delta: 1}, 1)
+    return prog, delta
+
+
+def _semistable(tm: ToricMatrix, supp, target) -> bool:
+    """Feasibility of b >= 0 supported on supp with p_v(b) = target."""
+    return _support_lp(tm, supp, target)[0].feasible() is not None
+
+
 def semistable_lp(pattern: SupportPattern, tm: ToricMatrix, a):
     """Exact stability of a support pattern at level p_v(a).
 
@@ -405,22 +430,7 @@ def semistable_lp(pattern: SupportPattern, tm: ToricMatrix, a):
     if len(supp) != len(pattern.support):
         raise InputError("support indices outside 1..r")
     target = tm.p_v(a)
-
-    def build(strict):
-        prog = LinearProgram()
-        bs = {j: prog.var() for j in supp}
-        delta = prog.var() if strict else None
-        for k, vec in enumerate(tm.coker):
-            coeffs = {bs[j]: vec[j - 1] for j in supp}
-            prog.add_eq(coeffs, target[k])
-        if strict:
-            for j in supp:
-                prog.add_ge({bs[j]: 1, delta: -1}, 0)
-            prog.add_le({delta: 1}, 1)
-        return prog, delta
-
-    prog, _ = build(strict=False)
-    semistable = prog.feasible() is not None
+    semistable = _semistable(tm, supp, target)
 
     stable = False
     if semistable:
@@ -429,7 +439,7 @@ def semistable_lp(pattern: SupportPattern, tm: ToricMatrix, a):
         free_stabilizer = _int_rank(cols) == len(off)
         if free_stabilizer:
             if supp:
-                prog, delta = build(strict=True)
+                prog, delta = _support_lp(tm, supp, target, strict=True)
                 res = prog.optimize({delta: 1}, maximize=True)
                 stable = res.status == "optimal" and res.value > 0
             else:
@@ -439,8 +449,7 @@ def semistable_lp(pattern: SupportPattern, tm: ToricMatrix, a):
 
 def quotient_nonempty(tm: ToricMatrix, a) -> bool:
     """Feasibility of b >= 0 with p_v(b) = p_v(a)."""
-    full = SupportPattern(range(1, tm.r + 1))
-    return semistable_lp(full, tm, a)["semistable"]
+    return _semistable(tm, range(1, tm.r + 1), tm.p_v(a))
 
 
 def chamber_search(tm: ToricMatrix, a):
@@ -454,13 +463,13 @@ def chamber_search(tm: ToricMatrix, a):
     """
     if tm.r > 12 or tm.m > 3:
         raise LimitError("chamber search limited to r <= 12, m <= 3")
+    target = tm.p_v(a)
     candidates = []
     for subset in combinations(range(1, tm.r + 1), tm.m):
         cols = [[Fraction(x) for x in tm.column(j)] for j in subset]
         if _int_rank(cols) != tm.m:
             continue
-        pattern = SupportPattern(set(range(1, tm.r + 1)) - set(subset))
-        if semistable_lp(pattern, tm, a)["semistable"]:
+        if _semistable(tm, [j for j in range(1, tm.r + 1) if j not in subset], target):
             candidates.append(frozenset(subset))
     if not candidates:
         return None, "no independent cone has a semistable complement at the level"

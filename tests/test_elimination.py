@@ -1,9 +1,9 @@
 """Differential tests of the exact elimination core against sympy.
 
-The Bareiss loop is reached through ``rank_exact`` (Z[i]) and
-``bareiss_det_poly`` / ``bareiss_rank_poly`` (Z[i][x]); the Gauss-Jordan
-loop through ``rref``, ``_invert_exact``, ``_solve_square`` and
-``FaceFunctional.evaluate``.  Sizes stay at most 4 x 4 with small
+The Bareiss loop is reached through ``rank_exact`` (over Z[i]); the
+Gauss-Jordan loop through ``rref``, ``_invert_exact``, ``_solve_square``
+and ``FaceFunctional.evaluate``.  The pencil test built on both has its
+own sympy oracle in ``test_pencil.py``.  Sizes stay at most 4 x 4 with small
 entries, and hypothesis runs derandomized, so every run checks the same
 examples.
 """
@@ -20,19 +20,13 @@ from sympy.polys.matrices import DomainMatrix
 from sfpas.errors import InputError
 from sfpas.families import _invert_exact
 from sfpas.linalg import ZERO, CMatrix, GaussianRational, rank_exact, rref
-from sfpas.polys import bareiss_det_poly, bareiss_rank_poly, poly_trim
 from sfpas.toric import Fan, ToricMatrix, _solve_square, face_functional, k_membership
 
 SETTINGS = settings(max_examples=80, derandomize=True, deadline=None)
-X = sympy.Symbol("x")
-QQ_I_X = QQ_I[X]
 
 # zero entries are drawn often, so pivot searches skip rows and ranks drop
 small_fraction = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3))
 gaussian_rational = st.one_of(st.just(ZERO), st.builds(GaussianRational, small_fraction, small_fraction))
-gaussian_integer = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
-# Z[i][x] entries of degree <= 1, constant term first
-linear_poly = st.one_of(st.just(()), st.tuples(gaussian_integer, gaussian_integer).map(poly_trim))
 
 
 def matrices(entries, max_dim=4, square=False):
@@ -61,15 +55,6 @@ def _dm_rational(rows):
     return DomainMatrix([[_qq(Fraction(q)) for q in row] for row in rows], (len(rows), len(rows[0])), QQ)
 
 
-def _poly_ring(p):
-    x = QQ_I_X.gens[0]
-    return sum((QQ_I_X(_qq_i(c)) * x**k for k, c in enumerate(p)), QQ_I_X.zero)
-
-
-def _dm_poly(rows):
-    return DomainMatrix([[_poly_ring(p) for p in row] for row in rows], (len(rows), len(rows[0])), QQ_I_X)
-
-
 @SETTINGS
 @given(matrices(gaussian_rational))
 def test_rank_and_rref_match_sympy(rows):
@@ -79,19 +64,6 @@ def test_rank_and_rref_match_sympy(rows):
     ref_reduced, ref_pivots = ref.rref()
     assert tuple(pivots) == tuple(ref_pivots)
     assert _dm_gaussian(reduced) == ref_reduced
-
-
-@SETTINGS
-@given(matrices(linear_poly, square=True))
-def test_poly_det_matches_sympy(rows):
-    assert _poly_ring(bareiss_det_poly(rows)) == _dm_poly(rows).det()
-
-
-@SETTINGS
-@given(matrices(linear_poly))
-def test_poly_rank_matches_sympy(rows):
-    ref = _dm_poly(rows).convert_to(QQ_I.frac_field(X)).rank()
-    assert bareiss_rank_poly(rows, len(rows), len(rows[0])) == ref
 
 
 @SETTINGS

@@ -120,6 +120,19 @@ def test_face_functional_p2_identity_cone():
     assert f.evaluate([0, 1]) == Fraction(-2)
 
 
+def test_face_functional_rejects_points_of_the_wrong_length():
+    # m = 2 on P2: a short point once read as a point of span(cone), a
+    # long one once raised a bare IndexError
+    f = face_functional({1, 2}, [1, 2, 0], P2_MATRIX)
+    for x in ([1], [1, 0, 5]):
+        with pytest.raises(InputError, match="length 2"):
+            f.evaluate(x)
+    empty = face_functional(set(), [1, 2, 0], P2_MATRIX)
+    assert empty.evaluate([0, 0]) == 0
+    with pytest.raises(InputError, match="length 2"):
+        empty.evaluate([0])
+
+
 def test_face_functional_lower_cone():
     f = face_functional({3}, [0, 0, 1], P2_MATRIX)
     assert f.evaluate([-1, -1]) == Fraction(-1)

@@ -213,4 +213,4 @@ def test_k_membership_solves_one_lp(level, lp_calls):
 def test_chamber_search_lp_budget_on_f1(lp_calls):
     rays, cones = VARIETIES[3]
     assert chamber_search(_matrix(rays), [1, 1, 1, 1]) == (Fan(cones), None)
-    assert len(lp_calls) <= 16
+    assert len(lp_calls) <= 12
