@@ -45,7 +45,7 @@ def _numpy_provenance(args, command, tolerances=None):
 
 
 def _emit(payload, out_path):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -120,7 +120,8 @@ def _quiver_inputs(args):
 
 
 def _nan_to_null(x):
-    return None if math.isnan(x) else x
+    """Non-finite floats (nan, +-inf) have no strict-JSON form: null."""
+    return x if math.isfinite(x) else None
 
 
 def cmd_quiver_flow(args):
@@ -130,7 +131,7 @@ def cmd_quiver_flow(args):
     res = quiver.kempf_ness_flow(problem, point, level, _flow_cfg(args))
     payload = {
         "provenance": _numpy_provenance(args, ["quiver", "flow"], {"tol": args.tol}),
-        "final_energy": res.final_energy,
+        "final_energy": _nan_to_null(res.final_energy),
         "iterations": res.iterations,
         "verdict": res.verdict.value,
         "stop_reason": res.stop_reason.value,
@@ -138,7 +139,7 @@ def cmd_quiver_flow(args):
         "plateaued": res.plateaued,
         "diverged": res.diverged,
         "weight_bound": _nan_to_null(res.weight_bound),
-        "group_cond": res.group_cond,
+        "group_cond": _nan_to_null(res.group_cond),
         "stabilizer_sigma_min": _nan_to_null(res.stabilizer_sigma_min),
         "final_point": {k: m.to_json() for k, m in res.final_point.maps.items()},
     }
@@ -156,7 +157,7 @@ def cmd_quiver_verdict(args):
         "verdict": res.verdict.value,
         "stop_reason": res.stop_reason.value,
         "iterations": res.iterations,
-        "final_energy": res.final_energy,
+        "final_energy": _nan_to_null(res.final_energy),
     }
     _emit(payload, args.out)
     return 0

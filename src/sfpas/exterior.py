@@ -1,43 +1,55 @@
-"""Integer exterior algebra on the first cohomology of a genus-g surface,
-and the abelian invariant counts built on it.
+"""Integer classes on the first cohomology of a genus-g surface, and the
+abelian invariant counts built on them.
 
 Generators come in a fixed symplectic order a1 < b1 < a2 < b2 < ... and
 are indexed 0..2g-1 (a_j is 2j-2, b_j is 2j-1, 1-based j).  The top
 pairing is coefficient extraction on a1^b1^...^ag^bg; that orientation
 convention is what normalizes all counts here.
 
-Odd-degree classes are supported by the same sign rules but the pairing
-convention for them is experimental; see ggw_abelian.
+The pairings with Theta^i / i! are taken in closed form.  Theta^i / i!
+is the sum of the products of i distinct pairs a_j^b_j (Macdonald,
+"Symmetric products of an algebraic curve", Topology 1 (1962)), so the
+top coefficient of (Theta^i / i!) ^ l is the sum of the coefficients of
+the monomials of l that are unions of g - i whole pairs.  Each pair has
+even degree, so no sign arises; every other monomial, odd-degree ones
+included, pairs to 0.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
-from itertools import combinations
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, LimitError
+
+# the int-to-str digit limit; Python before 3.10.7 has none (0)
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _integer(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 class ExteriorClass:
-    """Integer-coefficient element of the exterior algebra on 2g generators.
-
-    terms maps strictly increasing index tuples to nonzero integers.
-    """
+    """Integer-coefficient element of the exterior algebra on 2g generators:
+    terms maps strictly increasing index tuples to nonzero integers."""
 
     __slots__ = ("g", "terms")
 
     def __init__(self, g: int, terms=None):
-        if g < 0:
+        if _integer(g, "genus") < 0:
             raise InputError("genus must be >= 0")
         clean = {}
         for mono, coeff in (terms or {}).items():
-            mono = tuple(mono)
+            mono = tuple(_integer(i, "generator index") for i in mono)
             if list(mono) != sorted(set(mono)):
                 raise InputError(f"monomial indices must be strictly increasing: {mono}")
             if mono and (mono[0] < 0 or mono[-1] >= 2 * g):
                 raise InputError(f"generator index out of range for genus {g}: {mono}")
-            coeff = int(coeff)
-            if coeff:
+            if _integer(coeff, "coefficient"):
                 clean[mono] = coeff
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "terms", clean)
@@ -49,114 +61,54 @@ class ExteriorClass:
     def one(g: int) -> "ExteriorClass":
         return ExteriorClass(g, {(): 1})
 
-    @staticmethod
-    def zero(g: int) -> "ExteriorClass":
-        return ExteriorClass(g, {})
-
-    @staticmethod
-    def generator(g: int, kind: str, j: int) -> "ExteriorClass":
-        """The generator a_j or b_j (1-based j)."""
-        if kind not in ("a", "b") or not (1 <= j <= g):
-            raise InputError(f"no generator {kind}_{j} at genus {g}")
-        idx = 2 * (j - 1) + (0 if kind == "a" else 1)
-        return ExteriorClass(g, {(idx,): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degrees(self):
         return sorted({len(m) for m in self.terms})
-
-    def __add__(self, other):
-        if self.g != other.g:
-            raise InputError("genus mismatch")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return ExteriorClass(self.g, terms)
-
-    def __neg__(self):
-        return ExteriorClass(self.g, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k: int) -> "ExteriorClass":
-        return ExteriorClass(self.g, {m: k * c for m, c in self.terms.items()})
-
-    def top_coefficient(self) -> int:
-        """Pairing with the orientation class: coefficient of the full monomial."""
-        return self.terms.get(tuple(range(2 * self.g)), 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExteriorClass):
-            return NotImplemented
-        return self.g == other.g and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.g, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"ExteriorClass(g={self.g}, {len(self.terms)} terms)"
 
-    def to_json(self):
-        return {"g": self.g, "terms": [[list(m), c] for m, c in sorted(self.terms.items())]}
-
     @staticmethod
     def from_json(obj) -> "ExteriorClass":
+        """Read {"g": g, "terms": [[monomial, coefficient], ...]}."""
         try:
-            g = int(obj["g"])
-            terms = {tuple(int(i) for i in m): int(c) for m, c in obj["terms"]}
+            g, terms = obj["g"], {}
+            for mono, coeff in obj["terms"]:
+                mono = tuple(mono)
+                if mono in terms:
+                    raise InputError(f"repeated monomial {list(mono)}")
+                terms[mono] = coeff
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad exterior class JSON: {exc}") from exc
         return ExteriorClass(g, terms)
 
 
-def _merge_sign(m1, m2):
-    """Concatenation sign of two disjoint increasing monomials, or None."""
-    if set(m1) & set(m2):
-        return None, None
-    merged = sorted(m1 + m2)
-    # count transpositions needed to interleave m2 into m1
-    inversions = 0
-    for x in m2:
-        inversions += sum(1 for y in m1 if y > x)
-    return tuple(merged), (-1) ** inversions
+def _theta_pairings(l: ExteriorClass) -> dict:
+    """{i: top coefficient of (Theta^i / i!) ^ l}, over the powers i
+    reached by a monomial of l that is a union of whole pairs (2j, 2j+1);
+    every other power pairs to 0."""
+    pairings = {}
+    for mono, coeff in l.terms.items():
+        # distinct indices: a union of pairs touches each pair j = x // 2 twice
+        pairs = len({x // 2 for x in mono})
+        if len(mono) == 2 * pairs:
+            pairings[l.g - pairs] = pairings.get(l.g - pairs, 0) + coeff
+    return pairings
 
 
-def wedge(x: ExteriorClass, y: ExteriorClass) -> ExteriorClass:
-    """Graded-commutative product with integer coefficients."""
-    if x.g != y.g:
-        raise InputError("genus mismatch")
-    terms = {}
-    for m1, c1 in x.terms.items():
-        for m2, c2 in y.terms.items():
-            merged, sign = _merge_sign(m1, m2)
-            if merged is None:
-                continue
-            terms[merged] = terms.get(merged, 0) + sign * c1 * c2
-    return ExteriorClass(x.g, terms)
+def _printable(n: int) -> int:
+    """n, or LimitError past the interpreter's int-to-str digit limit."""
+    limit = _digit_limit()
+    if limit and abs(n) >= 10**limit:
+        raise LimitError(f"result has more than {limit} decimal digits")
+    return n
 
 
-def theta_class(g: int) -> ExteriorClass:
-    """The principal polarization class sum_j a_j ^ b_j."""
-    return ExteriorClass(g, {(2 * j, 2 * j + 1): 1 for j in range(g)})
-
-
-def theta_div_factorial(g: int, i: int) -> ExteriorClass:
-    """Theta^i / i!: the sum over i-subsets S of wedge_{j in S} (a_j ^ b_j).
-
-    All coefficients are 1; i > g gives the zero class.
-    """
-    if i < 0:
-        raise InputError("power must be >= 0")
-    if i > g:
-        return ExteriorClass.zero(g)
-    terms = {}
-    for subset in combinations(range(g), i):
-        mono = tuple(sorted(idx for j in subset for idx in (2 * j, 2 * j + 1)))
-        terms[mono] = 1
-    return ExteriorClass(g, terms)
+def _power(r0: int, i: int) -> int:
+    """r0**i via _printable, refused unformed when far past the limit."""
+    limit = _digit_limit()
+    if limit and r0 > 1 and i * math.log10(r0) > limit + 1:
+        raise LimitError(f"{r0}**{i} has more than {limit} decimal digits")
+    return _printable(r0**i)
 
 
 @dataclass(frozen=True)
@@ -202,7 +154,7 @@ def ggw_terms(p: AbelianProblem, l: ExteriorClass):
     threshold the value is 0 with no terms.  Above, the value is the top
     coefficient of sum_{i=max(0, g-v)}^{g} r0^i * (Theta^i / i!) ^ l with
     v the expected dimension at r=1.  For homogeneous l at most one term
-    is nonzero, so only that term is evaluated.
+    is nonzero, so only that term is listed.
     """
     if l.g != p.g:
         raise InputError("genus mismatch between problem and class")
@@ -213,18 +165,15 @@ def ggw_terms(p: AbelianProblem, l: ExteriorClass):
     lo = max(0, g - v)
     degs = l.degrees()
     if len(degs) == 1:
-        # single power can reach top degree
-        wanted = (2 * g - degs[0]) / 2
-        powers = [int(wanted)] if wanted == int(wanted) and lo <= wanted <= g else []
+        powers = [g - degs[0] // 2] if degs[0] % 2 == 0 and g - degs[0] // 2 >= lo else []
     else:
         powers = list(range(lo, g + 1))
+    pairings = _theta_pairings(l)
     terms = []
-    total = 0
     for i in powers:
-        coeff = (p.r0 ** i) * wedge(theta_div_factorial(g, i), l).top_coefficient()
-        terms.append((i, coeff))
-        total += coeff
-    return total, terms
+        pairing = pairings.get(i, 0)
+        terms.append((i, _printable(_power(p.r0, i) * pairing) if pairing else 0))
+    return _printable(sum(c for _, c in terms)), terms
 
 
 def ggw_abelian(p: AbelianProblem, l: ExteriorClass) -> int:
@@ -235,13 +184,13 @@ def quot_count(g: int, r0: int) -> int:
     """Number of points of a zero-dimensional, zero-expected-dimension
     quotient space at rank one: r0**g, with multiplicities.
 
-    Cross-checked against the top term r0^g * <Theta^g/g!, top> of the
+    Cross-checked against the top term r0^g * <Theta^g/g!, 1> of the
     invariant pairing.
     """
     if g < 0 or r0 < 1:
         raise InputError("need g >= 0 and r0 >= 1")
-    count = r0 ** g
-    top_term = (r0 ** g) * theta_div_factorial(g, g).top_coefficient()
+    count = _power(r0, g)
+    top_term = count * _theta_pairings(ExteriorClass.one(g)).get(g, 0)
     if count != top_term:
         raise InternalError(f"quotient count {count} != top theta term {top_term}")
     return count

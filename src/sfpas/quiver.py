@@ -715,7 +715,8 @@ def kempf_ness_flow(
     group_cond = 1.0
     if group is not None:
         for g in group.values():
-            svals = np.linalg.svd(g, compute_uv=False)
+            # LAPACK writes to stdout when handed inf or nan: test first
+            svals = np.linalg.svd(g, compute_uv=False) if np.isfinite(g).all() else [0.0]
             if svals[-1] <= 0 or not np.isfinite(svals[0]):
                 group_cond = float("inf")
             else:

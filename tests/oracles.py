@@ -1,6 +1,6 @@
-"""Independent brute-force oracles for the pencil/minor stability test
-and for toric fan completeness, plus symmetry-deduplicated enumeration
-of small integer triples.
+"""Independent brute-force oracles for the pencil/minor stability test,
+for toric fan completeness and for the theta pairing, plus
+symmetry-deduplicated enumeration of small integer triples.
 
 The oracle must not share code paths with the product implementation:
 ranks are evaluated at 50 fixed rational points (the product does
@@ -9,8 +9,11 @@ are reconstructed by Lagrange interpolation from integer determinant
 evaluations with a monic Euclid gcd over Q (the product uses a Bareiss
 determinant and a subresultant remainder sequence).  The fan oracle
 tests points instead of ridges (the product pairs up ridges).  The
-integer rank and determinant and the rational solve below are the
-oracle's own; nothing here imports sfpas.
+exterior algebra multiplies monomials with a bubble-sort sign and
+builds Theta^i / i! as i repeated products divided by i! (the product
+reads the pairing off in closed form).  The integer rank and
+determinant and the rational solve below are the oracle's own; nothing
+here imports sfpas.
 """
 
 from fractions import Fraction
@@ -430,3 +433,47 @@ def oracle_fan_covers_facet_exits(rays, cones, eps=Fraction(1, 10**6)):
             if not covered:
                 return False
     return True
+
+
+# -- exterior algebra --------------------------------------------------------
+# A class on 2g generators a1 < b1 < ... < ag < bg (indices 0..2g-1) is a
+# dict {strictly increasing index tuple: int}.
+
+
+def ext_wedge(x, y):
+    """Graded-commutative product: each concatenated word is sorted by
+    adjacent swaps, and every swap flips the sign."""
+    out = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            if set(m1) & set(m2):
+                continue
+            word, sign = list(m1 + m2), 1
+            for end in range(len(word) - 1, 0, -1):
+                for k in range(end):
+                    if word[k] > word[k + 1]:
+                        word[k], word[k + 1] = word[k + 1], word[k]
+                        sign = -sign
+            key = tuple(word)
+            out[key] = out.get(key, 0) + sign * c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def ext_theta(g):
+    """Theta = sum_j a_j ^ b_j."""
+    return {(2 * j, 2 * j + 1): 1 for j in range(g)}
+
+
+def ext_theta_power(g, i):
+    """Theta^i / i!: Theta multiplied i times, then divided exactly by i!."""
+    power, fact = {(): 1}, 1
+    for k in range(1, i + 1):
+        power, fact = ext_wedge(power, ext_theta(g)), fact * k
+    if any(c % fact for c in power.values()):
+        raise ValueError(f"Theta^{i} is not divisible by {i}!")
+    return {m: c // fact for m, c in power.items()}
+
+
+def ext_top(x, g):
+    """Pairing with the orientation class: the coefficient of a1^b1^...^ag^bg."""
+    return x.get(tuple(range(2 * g)), 0)

@@ -1,8 +1,16 @@
 import json
+import os
+import pathlib
+import random
 import subprocess
 import sys
+import time
 
 from sfpas.cli import main
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent))
+from chains import random_chain  # noqa: E402
+from oracles import ext_theta_power, ext_top, ext_wedge  # noqa: E402
 
 try:
     import jsonschema
@@ -329,3 +337,116 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     code, out, err = run_cli(["invariants", "quot-count", "--g", "2", "--r0", "2"], capsys)
     assert code == 4 and out == ""
     assert "invariant failed" in err
+
+
+def test_ggw_two_term_class_at_genus_22_is_fast():
+    l = {(): 1, (0, 1): 1}
+
+    def oracle_value(g, r0):
+        return sum(
+            r0**i * ext_top(ext_wedge(ext_theta_power(g, i), l), g) for i in range(g + 1)
+        )
+
+    # the oracle reaches g <= 8 here; there it gives r0^g + r0^(g-1) for this class
+    for g in range(1, 9):
+        assert oracle_value(g, 2) == 2**g + 2 ** (g - 1)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    cls = json.dumps({"g": 22, "terms": [[list(m), c] for m, c in l.items()]})
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "sfpas.cli", "invariants", "ggw", "--g", "22", "--r0", "2",
+         "--d", "0", "--d0", "80", "--side", "above", "--l", cls],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=20,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == 2**22 + 2**21
+    assert elapsed < 2.0, f"took {elapsed:.2f} s"
+
+
+def test_quot_count_too_large_to_print_exits_3(capsys):
+    code, out, err = run_cli(["invariants", "quot-count", "--g", "20000", "--r0", "2"], capsys)
+    assert code == 3 and out == ""
+    assert "decimal digits" in err
+    code, out, _ = run_cli(["invariants", "quot-count", "--g", "20000", "--r0", "1"], capsys)
+    assert code == 0 and json.loads(out)["count"] == 1
+
+
+def test_ggw_too_large_to_print_exits_3(capsys):
+    base = ["invariants", "ggw", "--g", "20000", "--r0", "2", "--d", "0", "--side", "above"]
+    code, _, err = run_cli(base + ["--d0", "40000", "--l", "one"], capsys)
+    assert code == 3 and "decimal digits" in err
+    code, out, _ = run_cli(base + ["--d0", "40000", "--l", "top"], capsys)
+    assert code == 0 and json.loads(out)["value"] == 1
+    # powers 19998..20000, none of which this class pairs with, are never formed
+    cls = json.dumps({"g": 20000, "terms": [[[0], 1], [[0, 2], 1]]})
+    code, out, _ = run_cli(base + ["--d0", "20001", "--l", cls], capsys)
+    assert code == 0 and json.loads(out)["terms"] == [
+        {"contribution": 0, "power": i} for i in (19998, 19999, 20000)
+    ]
+
+
+def _ggw_with_class(terms, capsys):
+    cls = json.dumps({"g": 1, "terms": terms})
+    return run_cli(
+        ["invariants", "ggw", "--g", "1", "--r0", "2", "--d", "1", "--d0", "2",
+         "--side", "above", "--l", cls],
+        capsys,
+    )
+
+
+def test_ggw_rejects_fractional_coefficient(capsys):
+    code, out, err = _ggw_with_class([[[0, 1], 2.5]], capsys)
+    assert code == 2 and out == "" and "coefficient" in err
+
+
+def test_ggw_rejects_repeated_monomial(capsys):
+    code, out, err = _ggw_with_class([[[0, 1], 2], [[0, 1], 3]], capsys)
+    assert code == 2 and out == "" and "repeated monomial" in err
+
+
+def test_ggw_rejects_fractional_index(capsys):
+    code, out, err = _ggw_with_class([[[0.9, 1], 1]], capsys)
+    assert code == 2 and out == "" and "generator index" in err
+
+
+def test_ggw_rejects_bool_coefficient(capsys):
+    code, out, err = _ggw_with_class([[[0, 1], True]], capsys)
+    assert code == 2 and out == "" and "coefficient" in err
+
+
+def test_quiver_flow_output_is_strict_json(capfd, tmp_path):
+    """Criterion-1 chain 9 at level (-1, 0, 0) ends with an overflowed
+    group element; its group_cond is written as null, not Infinity,
+    nothing but the JSON reaches stdout, and with --step 0.3 the
+    non-finite element no longer reaches the SVD (exit 4)."""
+    rng = random.Random(2024)
+    chain = [random_chain(rng) for _ in range(10)][9]
+    assert chain.dims == (4, 2, 4, 4)
+    path = tmp_path / "chain9.json"
+    path.write_text(json.dumps({
+        "quiver": {
+            "vertices": ["v1", "v2", "v3", "v4"],
+            "arrows": [{"id": f"f{i}", "src": f"v{i}", "dst": f"v{i + 1}"} for i in (1, 2, 3)],
+        },
+        "dims": {f"v{i + 1}": n for i, n in enumerate(chain.dims)},
+        "symmetry": {"type": "vertex_product", "vertices": ["v1", "v2", "v3"]},
+        "point": {f"f{i + 1}": f.to_json() for i, f in enumerate(chain.maps)},
+        "level": {"values": {"v1": "-1", "v2": "0", "v3": "0"}},
+    }))
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    for extra in ([], ["--step", "0.3", "--tol", "1e-5"]):
+        payloads = {}
+        for cmd in ("flow", "verdict"):
+            code = main(["quiver", cmd, str(path)] + extra)
+            assert code == 0, extra
+            payloads[cmd] = json.loads(capfd.readouterr().out, parse_constant=reject)
+            assert payloads[cmd]["verdict"] == "Unstable"
+        assert payloads["flow"]["group_cond"] is None
