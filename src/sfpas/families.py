@@ -29,10 +29,11 @@ from .linalg import (
     ONE,
     ZERO,
     column_space_basis,
-    gauss_jordan,
     kernel_basis,
     matrix_from_columns,
+    parse_int,
     rank_exact,
+    rref,
 )
 from .verdict import Verdict
 
@@ -125,7 +126,7 @@ class FlagChain:
     __slots__ = ("dims", "maps", "level")
 
     def __init__(self, dims, maps, level):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(parse_int(d, 0) for d in dims)
         maps = tuple(maps)
         level = tuple(Fraction(t) for t in level)
         if len(dims) < 2:
@@ -190,8 +191,9 @@ class DestabilizerWitness:
 
 def _invert_exact(a: CMatrix) -> CMatrix:
     n = a.rows
-    work = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a.entries)]
-    if len(gauss_jordan(work, n)) < n:
+    identity = CMatrix.identity(n).entries
+    work, pivots = rref(CMatrix([row + ident for row, ident in zip(a.entries, identity)]))
+    if pivots != list(range(n)):
         raise InputError("singular matrix")
     return CMatrix([row[n:] for row in work])
 
@@ -294,7 +296,7 @@ class StrommeTriple:
     @staticmethod
     def from_json(obj) -> "StrommeTriple":
         try:
-            u, v, w = int(obj["u"]), int(obj["v"]), int(obj["w"])
+            u, v, w = (parse_int(obj[key], 0) for key in ("u", "v", "w"))
             k = CMatrix.from_json(obj["k"], v, u)
             l = CMatrix.from_json(obj["l"], v, u)
             m = CMatrix.from_json(obj["m"], v, w)

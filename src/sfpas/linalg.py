@@ -3,11 +3,12 @@
 Exact scalars are Gaussian rationals (pairs of ``fractions.Fraction``);
 float scalars are 64-bit complex doubles.  Every operation is pure and
 deterministic: elimination always pivots on the first nonzero entry in
-row-major order, so results are reproducible bit for bit.  The one
-fraction-free Bareiss loop (ranks over Z[i]) and the one Gauss-Jordan
-loop (reduced forms, kernels, inverses) below serve every exact module.
-Only the float helpers import numpy, so the exact modules load without
-it.
+row-major order, so results are reproducible bit for bit.  One
+fraction-free Gauss-Jordan loop over Z[i] serves every exact module:
+ranks count its pivots, and reduced forms (hence kernels, column spaces,
+inverses and solves) divide each of its rows by its pivot once, at the
+end.  Only the float helpers import numpy, so the exact modules load
+without it.
 
 JSON conventions: a rational is the string ``"p/q"`` (or ``"p"``), a
 complex scalar is ``{"re": "p/q", "im": "p/q"}``, a matrix is a
@@ -16,6 +17,7 @@ row-major nested array.  Plain JSON integers are accepted on input.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 
@@ -58,9 +60,6 @@ class GaussianRational:
         other = as_scalar(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        return as_scalar(other) - self
-
     def __mul__(self, other):
         other = as_scalar(other)
         return GaussianRational(
@@ -70,33 +69,8 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = as_scalar(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
-
-    def __rtruediv__(self, other):
-        return as_scalar(other) / self
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def conj(self):
         return GaussianRational(self.re, -self.im)
@@ -131,7 +105,6 @@ class GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
 
 
 def as_scalar(x) -> GaussianRational:
@@ -159,6 +132,20 @@ def parse_fraction(s) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational: {s!r}") from exc
     raise InputError(f"not a rational: {s!r}")
+
+
+def parse_int(x, minimum=None) -> int:
+    """An integer field: an int (or another ``operator.index`` type), never
+    a bool, float or string, and at least ``minimum`` when one is given."""
+    if isinstance(x, bool):
+        raise InputError(f"not an integer: {x!r}")
+    try:
+        n = operator.index(x)
+    except TypeError:
+        raise InputError(f"not an integer: {x!r}") from None
+    if minimum is not None and n < minimum:
+        raise InputError(f"expected an integer >= {minimum}, got {n}")
+    return n
 
 
 def scalar_to_json(z: GaussianRational):
@@ -380,98 +367,72 @@ class HermitianTuple:
 # -- the exact elimination core ----------------------------------------
 
 
-def bareiss(m, ncols):
-    """Fraction-free Bareiss elimination of rows of Gaussian integers,
-    given as (re, im) pairs, in place; returns the rank.
+def _to_gaussian_integer_rows(a: CMatrix):
+    """Each row of A scaled by the lcm of its component denominators, as
+    rows of Gaussian integers given as (re, im) pairs.
 
-    Each update (p*a - h*b) / q, with q the previous pivot, is exact in
-    Z[i] (Bareiss 1968).
-    Pivots on the first nonzero entry of each column, in row-major
-    order, and leaves ``m`` in row echelon form.
+    Scaling a row by a positive integer changes neither the rank nor the
+    reduced row echelon form, and keeps the elimination loop below inside
+    the Gaussian integers.
+    """
+    if a.mode != "exact":
+        raise ModeError("exact elimination requires exact mode")
+    rows = []
+    for row in a.entries:
+        mult = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row), 1)
+        rows.append([
+            (x.re.numerator * (mult // x.re.denominator), x.im.numerator * (mult // x.im.denominator))
+            for x in row
+        ])
+    return rows
+
+
+def _eliminate(m):
+    """Fraction-free Gauss-Jordan reduction, in place, of rows of Gaussian
+    integers given as (re, im) pairs; returns the pivot columns.
+
+    Each pivot p is the first nonzero entry of its column at or below the
+    next pivot row, in row-major order.  Every other row is then updated
+    over its full width as (p*a - h*b) / q, with h its entry in the pivot
+    column, b the pivot row and q the previous pivot.  Each quotient is
+    exact in Z[i] (Bareiss 1968; Nakos-Turner-Williams 1997), and at the
+    end every pivot entry equals the last pivot.
     """
     nrows = len(m)
-    rank = 0
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
     qr, qi = 1, 0
     for col in range(ncols):
-        for i in range(rank, nrows):
-            if m[i][col] != (0, 0):
-                break
-        else:
-            continue
-        m[rank], m[i] = m[i], m[rank]
-        top = m[rank]
-        pr, pi = top[col]
-        d = qr * qr + qi * qi
-        for row in m[rank + 1:]:
-            hr, hi = row[col]
-            for j in range(col + 1, ncols):
-                (ar, ai), (br, bi) = row[j], top[j]
-                re = pr * ar - pi * ai - hr * br + hi * bi
-                im = pr * ai + pi * ar - hr * bi - hi * br
-                row[j] = ((re * qr + im * qi) // d, (im * qr - re * qi) // d)
-            row[col] = (0, 0)
-        qr, qi = pr, pi
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def gauss_jordan(rows, ncols):
-    """Reduce ``rows`` in place to reduced row echelon form, pivoting in
-    the first ``ncols`` columns only (later columns, such as a right-hand
-    side or an identity block, are carried along).
-
-    Entries are exact field elements, ``Fraction`` or
-    ``GaussianRational``.  Pivots on the first nonzero entry of each
-    column, in row-major order.  Returns the pivot columns.
-    """
-    nrows = len(rows)
-    pivots = []
-    for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
         for i in range(r, nrows):
-            if rows[i][c]:
+            if m[i][col] != (0, 0):
                 break
         else:
             continue
-        rows[r], rows[i] = rows[i], rows[r]
-        inv = 1 / rows[r][c]
-        top = rows[r] = [inv * x for x in rows[r]]
-        for i in range(nrows):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], top)]
-        pivots.append(c)
+        m[r], m[i] = m[i], m[r]
+        top = m[r]
+        pr, pi = top[col]
+        d = qr * qr + qi * qi
+        for k, row in enumerate(m):
+            if k == r:
+                continue
+            hr, hi = row[col]
+            new = []
+            for (ar, ai), (br, bi) in zip(row, top):
+                re = pr * ar - pi * ai - hr * br + hi * bi
+                im = pr * ai + pi * ar - hr * bi - hi * br
+                new.append(((re * qr + im * qi) // d, (im * qr - re * qi) // d))
+            m[k] = new
+        qr, qi = pr, pi
+        pivots.append(col)
     return pivots
 
 
-def _to_gaussian_integer_rows(a: CMatrix):
-    """Scale each row by the lcm of component denominators.
-
-    Row scaling by positive rationals changes neither rank nor kernel
-    membership of row-space complements, and keeps Bareiss elimination
-    inside the Gaussian integers.
-    """
-    rows = []
-    for row in a.entries:
-        mult = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row), 1)
-        rows.append(
-            [(int(x.re * mult), int(x.im * mult)) for x in row]
-        )
-    return rows
-
-
 def rank_exact(a: CMatrix) -> int:
-    """Rank over the Gaussian rationals via fraction-free elimination.
-
-    Deterministic: pivots on the first nonzero entry in row-major order.
-    """
-    if a.mode != "exact":
-        raise ModeError("rank_exact requires exact mode")
-    return bareiss(_to_gaussian_integer_rows(a), a.cols)
+    """Rank over the Gaussian rationals: the number of pivots."""
+    return len(_eliminate(_to_gaussian_integer_rows(a)))
 
 
 def rref(a: CMatrix):
@@ -480,10 +441,18 @@ def rref(a: CMatrix):
     Returns (rows, pivot_columns) where rows is a list of lists of
     GaussianRational.  First-nonzero pivoting in row-major order.
     """
-    if a.mode != "exact":
-        raise ModeError("rref requires exact mode")
-    work = [list(row) for row in a.entries]
-    pivots = gauss_jordan(work, a.cols)
+    m = _to_gaussian_integer_rows(a)
+    pivots = _eliminate(m)
+    work = []
+    for row, c in zip(m, pivots):
+        pr, pi = row[c]
+        d = pr * pr + pi * pi
+        work.append([
+            GaussianRational(Fraction(ar * pr + ai * pi, d), Fraction(ai * pr - ar * pi, d))
+            if ar or ai else ZERO
+            for ar, ai in row
+        ])
+    work += [[ZERO] * a.cols for _ in range(a.rows - len(pivots))]
     return work, pivots
 
 
@@ -494,8 +463,6 @@ def kernel_basis(a: CMatrix):
     A @ b = 0 exactly.  Free columns are taken in increasing order and
     the basis vector for free column j has entry 1 at position j.
     """
-    if a.mode != "exact":
-        raise ModeError("kernel_basis requires exact mode")
     work, pivots = rref(a)
     pivot_set = set(pivots)
     basis = []

@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .linalg import CMatrix, HermitianTuple, ZERO, parse_fraction
+from .linalg import CMatrix, HermitianTuple, ZERO, parse_fraction, parse_int
 from .toric import ToricMatrix
 from .verdict import Verdict
 
@@ -82,8 +82,8 @@ class QuiverDims:
     __slots__ = ("vertex_dim", "twist_dim")
 
     def __init__(self, quiver: Quiver, vertex_dim, twist_dim=None):
-        vd = {str(k): int(v) for k, v in vertex_dim.items()}
-        td = {str(k): int(v) for k, v in (twist_dim or {}).items()}
+        vd = {str(k): parse_int(v) for k, v in vertex_dim.items()}
+        td = {str(k): parse_int(v) for k, v in (twist_dim or {}).items()}
         for v in quiver.vertices:
             if v not in vd:
                 raise InputError(f"missing dimension for vertex {v}")

@@ -20,7 +20,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import InputError, InternalError, LimitError
-from .linalg import CMatrix, gauss_jordan, kernel_basis, rank_exact
+from .linalg import CMatrix, kernel_basis, parse_int, rank_exact, rref
 from .lp import LinearProgram
 
 ZERO = Fraction(0)
@@ -32,10 +32,10 @@ ZERO = Fraction(0)
 def _solve_square(a_rows, rhs):
     """Solve the square rational system A x = rhs; None if singular."""
     n = len(a_rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(a_rows)]
-    if len(gauss_jordan(aug, n)) < n:
+    work, pivots = rref(CMatrix([[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(a_rows, rhs)]))
+    if pivots != list(range(n)):
         return None
-    return tuple(row[-1] for row in aug)
+    return tuple(row[-1].re for row in work)
 
 
 def _int_rank(rows):
@@ -56,7 +56,7 @@ class ToricMatrix:
     __slots__ = ("v", "m", "r", "coker")
 
     def __init__(self, v):
-        rows = tuple(tuple(int(x) for x in row) for row in v)
+        rows = tuple(tuple(parse_int(x) for x in row) for row in v)
         if not rows or not rows[0]:
             raise InputError("v must be a nonempty integer matrix")
         m = len(rows)
@@ -110,7 +110,7 @@ class SupportPattern:
     support: frozenset
 
     def __init__(self, support):
-        object.__setattr__(self, "support", frozenset(int(j) for j in support))
+        object.__setattr__(self, "support", frozenset(parse_int(j) for j in support))
 
 
 class Fan:
@@ -119,7 +119,7 @@ class Fan:
     __slots__ = ("max_cones",)
 
     def __init__(self, max_cones):
-        cones = tuple(frozenset(int(j) for j in cone) for cone in max_cones)
+        cones = tuple(frozenset(parse_int(j) for j in cone) for cone in max_cones)
         object.__setattr__(self, "max_cones", cones)
 
     def __setattr__(self, name, value):
@@ -284,16 +284,15 @@ class FaceFunctional:
             raise InputError(f"point must have length {self.m}")
         cols = self._ray_cols
         k = len(cols)
-        aug = [[col[i] for col in cols] + [Fraction(xi)] for i, xi in enumerate(x)]
-        pivots = gauss_jordan(aug, k + 1)
+        work, pivots = rref(CMatrix([[col[i] for col in cols] + [Fraction(xi)] for i, xi in enumerate(x)]))
         if k in pivots:
             raise InputError("point is outside the span of the cone")
-        return sum(row[-1] * self._ray_vals[c] for row, c in zip(aug, pivots))
+        return sum(row[-1].re * self._ray_vals[c] for row, c in zip(work, pivots))
 
 
 def face_functional(cone, a, tm: ToricMatrix) -> FaceFunctional:
     """Construct f on span(cone) with <f, v_j> = -a_j for rays j of cone."""
-    cone = frozenset(int(j) for j in cone)
+    cone = frozenset(parse_int(j) for j in cone)
     a = [Fraction(x) for x in a]
     if len(a) != tm.r:
         raise InputError(f"level representative must have length {tm.r}")

@@ -3,11 +3,11 @@ for toric fan completeness and for the theta pairing, plus
 symmetry-deduplicated enumeration of small integer triples.
 
 The oracle must not share code paths with the product implementation:
-ranks are evaluated at 50 fixed rational points (the product does
-symbolic elimination over the polynomial ring), and the maximal minors
-are reconstructed by Lagrange interpolation from integer determinant
-evaluations with a monic Euclid gcd over Q (the product uses a Bareiss
-determinant and a subresultant remainder sequence).  The fan oracle
+ranks are evaluated at 50 fixed rational points (the product takes
+ranks at u + 1 points), and the maximal minors are reconstructed by
+Lagrange interpolation from integer determinant evaluations with a
+monic Euclid gcd over Q (the product forms no minors: it runs a Wong
+sequence of the pencil on the left null space of m).  The fan oracle
 tests points instead of ridges (the product pairs up ridges).  The
 exterior algebra multiplies monomials with a bubble-sort sign and
 builds Theta^i / i! as i repeated products divided by i! (the product

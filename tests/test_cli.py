@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from sfpas.cli import main
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -450,3 +452,28 @@ def test_quiver_flow_output_is_strict_json(capfd, tmp_path):
             payloads[cmd] = json.loads(capfd.readouterr().out, parse_constant=reject)
             assert payloads[cmd]["verdict"] == "Unstable"
         assert payloads["flow"]["group_cond"] is None
+
+
+# case -> (command, data file whose fields are replaced or None, fields)
+NON_INTEGER_FIELDS = {
+    "stromme-negative-u": (
+        "stromme check", None, {"u": -1, "v": 2, "w": 2, "k": [], "l": [], "m": [["1", "0"], ["0", "1"]]},
+    ),
+    "stromme-float-u": ("stromme check", "stromme_triple.json", {"u": 1.7}),
+    "stromme-bool-u": ("stromme check", "stromme_triple.json", {"u": True}),
+    "flag-float-dim": ("flag check", None, {"dims": [1.5, 2], "maps": [[["1"], ["1"]]], "level": ["1"]}),
+    "flag-bool-dim": ("flag check", None, {"dims": [True, 2], "maps": [[["1"], ["1"]]], "level": ["1"]}),
+    "toric-float-entry": ("toric validate", "p1.json", {"v": [[1.9, -1]]}),
+    "toric-float-cone-index": ("toric validate", "p1.json", {"max_cones": [[1.5], [2]]}),
+    "quiver-float-dim": ("quiver verdict", "quiver_grassmann.json", {"dims": {"v1": 1.5, "v2": 1}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_FIELDS))
+def test_non_integer_size_or_index_exits_2(capsys, data_dir, tmp_path, case):
+    command, base, fields = NON_INTEGER_FIELDS[case]
+    payload = json.loads((data_dir / base).read_text()) if base else {}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**payload, **fields}))
+    code, out, err = run_cli(command.split() + [str(path)], capsys)
+    assert code == 2 and out == "" and "integer" in err

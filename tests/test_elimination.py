@@ -1,11 +1,13 @@
 """Differential tests of the exact elimination core against sympy.
 
-The Bareiss loop is reached through ``rank_exact`` (over Z[i]); the
-Gauss-Jordan loop through ``rref``, ``_invert_exact``, ``_solve_square``
-and ``FaceFunctional.evaluate``.  The pencil test built on both has its
-own sympy oracle in ``test_pencil.py``.  Sizes stay at most 4 x 4 with small
-entries, and hypothesis runs derandomized, so every run checks the same
-examples.
+The one fraction-free Gauss-Jordan loop over Z[i] is reached through
+``rank_exact``, ``rref``, ``kernel_basis``, ``column_space_basis``,
+``_invert_exact``, ``_solve_square`` and ``FaceFunctional.evaluate``.
+The pencil test built on it has its own sympy oracle in
+``test_pencil.py``.  Sizes stay at most 4 x 4 with small entries, except
+for the kernel and column-space test (up to 6 x 7, with zero columns and
+repeated rows), and hypothesis runs derandomized, so every run checks the
+same examples.
 """
 
 from fractions import Fraction
@@ -19,7 +21,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from sfpas.errors import InputError
 from sfpas.families import _invert_exact
-from sfpas.linalg import ZERO, CMatrix, GaussianRational, rank_exact, rref
+from sfpas.linalg import ZERO, CMatrix, GaussianRational, column_space_basis, kernel_basis, rank_exact, rref
 from sfpas.toric import Fan, ToricMatrix, _solve_square, face_functional, k_membership
 
 SETTINGS = settings(max_examples=80, derandomize=True, deadline=None)
@@ -128,3 +130,33 @@ def test_k_membership_dependent_full_cone_raises():
     fan = Fan([[1, 2], [2, 3], [1, 4]])
     with pytest.raises(InputError, match="non-simplicial"):
         k_membership(fan, tm, [1, 1, 1, 1])
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Up to 6 x 7, with up to two whole zero columns and repeated rows."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    row = st.lists(gaussian_rational, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[j] = ZERO
+    index = st.integers(0, nrows - 1)
+    for dst, src in draw(st.lists(st.tuples(index, index), max_size=2)):
+        rows[dst] = list(rows[src])
+    return rows
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(degenerate_matrices())
+def test_kernel_and_column_space_bases_match_sympy(rows):
+    ref = _dm_gaussian(rows)
+    _, ref_pivots = ref.rref()
+    ncols = len(rows[0])
+    free = [j for j in range(ncols) if j not in ref_pivots]
+    basis = kernel_basis(CMatrix(rows))
+    assert len(basis) == ncols - ref.rank() == len(free)
+    for vec, j in zip(basis, free):
+        assert [vec[i] for i in free] == [GaussianRational(int(i == j)) for i in free]
+        assert (ref * _dm_gaussian([[z] for z in vec])).is_zero_matrix
+    assert column_space_basis(CMatrix(rows)) == [tuple(row[c] for row in rows) for c in ref_pivots]
