@@ -317,8 +317,11 @@ class CMatrix:
         if not isinstance(obj, list) or (obj and not isinstance(obj[0], list)):
             raise InputError("matrix JSON must be a nested array")
         if not obj:
+            # [] has no rows, so it is a matrix only of a shape with no entries
             if rows is None or cols is None:
                 rows, cols = 0, 0
+            elif rows and cols:
+                raise InputError(f"expected a {rows}x{cols} matrix, got []")
             return CMatrix.zeros(rows, cols)
         mat = CMatrix([[scalar_from_json(v) for v in row] for row in obj])
         if rows is not None and (mat.rows, mat.cols) != (rows, cols):

@@ -22,6 +22,10 @@ Sign and metric conventions, fixed once for the whole module:
 
 These choices make the Hamiltonian identity hold exactly in the scalar
 case and are verified numerically by hamiltonian_check.
+
+One private function, _act, applies a Lie-algebra element to a point;
+the flow's gradient (-2 _act(mu)), the vector field (-i _act(xi)) and
+the stabilizer estimate are all built on it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .linalg import CMatrix, HermitianTuple, ZERO, parse_fraction, parse_int
+from .linalg import CMatrix, HermitianTuple, parse_fraction, parse_int
 from .toric import ToricMatrix
 from .verdict import Verdict
 
@@ -320,21 +324,14 @@ class FlowResult:
 # -- moment map --------------------------------------------------------
 
 
-def _partial_trace_exact(f: CMatrix, d_t: int, tw: int) -> CMatrix:
-    """Tr over the twist factor of f f* for exact f of shape (d_t*tw, d_s)."""
-    ent = f.entries
-    d_s = f.cols
-    out = []
-    for i in range(d_t):
-        row = []
-        for j in range(d_t):
-            acc = ZERO
-            for alpha in range(tw):
-                for s in range(d_s):
-                    acc = acc + ent[i * tw + alpha][s] * ent[j * tw + alpha][s].conj()
-            row.append(acc)
-        out.append(row)
-    return CMatrix(out)
+def _partial_trace_exact(f: CMatrix, tw: int) -> CMatrix:
+    """Tr over the twist factor of f f*: the sum of F_a F_a* over a < tw,
+    F_a holding the rows a, a + tw, a + 2 tw, ... of f."""
+    out = CMatrix.zeros(f.rows // tw, f.rows // tw)
+    for alpha in range(tw):
+        part = CMatrix(f.entries[alpha::tw])
+        out = out + part @ part.adjoint()
+    return out
 
 
 def moment_map(problem: QuiverProblem, point: QuiverPoint, level: Level):
@@ -347,45 +344,43 @@ def moment_map(problem: QuiverProblem, point: QuiverPoint, level: Level):
     """
     problem.validate_point(point)
     problem.validate_level(level)
+    if point.mode() != "exact":
+        coker = _coker_matrix(problem)
+        lvl = _float_level(problem, level)
+        _, mu = _energy_and_data(problem, _float_maps(problem, point), lvl, coker)
+        if coker is not None:
+            return mu
+        return HermitianTuple([CMatrix.from_numpy(b) for b in mu.values()])
     if isinstance(problem.symmetry, TorusKernel):
-        tm = problem.symmetry.matrix
-        if point.mode() == "exact":
-            b = []
-            for a in problem.quiver.arrows:
-                z = point.maps[a.name].entries[0][0]
-                b.append(z.abs2() / 2 - level.vector[len(b)])
-            return tm.p_v(b)
-        zs = _float_maps(problem, point)
-        b = np.array(
-            [abs(zs[a.name][0, 0]) ** 2 / 2.0 for a in problem.quiver.arrows]
-        ) - np.array([float(x) for x in level.vector])
-        return b @ _coker_matrix(tm)
+        b = []
+        for a in problem.quiver.arrows:
+            z = point.maps[a.name].entries[0][0]
+            b.append(z.abs2() / 2 - level.vector[len(b)])
+        return problem.symmetry.matrix.p_v(b)
 
-    if point.mode() == "exact":
-        blocks = []
-        for v in problem.s_order:
-            d = problem.dims.vertex_dim[v]
-            acc = CMatrix.zeros(d, d)
-            for a in problem.quiver.arrows:
-                f = point.maps[a.name]
-                if a.src == v:
-                    acc = acc + (f.adjoint() @ f)
-                if a.dst == v:
-                    acc = acc - _partial_trace_exact(f, d, problem.dims.twist_dim[a.name])
-            half = acc.scale(Fraction(1, 2))
-            blocks.append(half - CMatrix.identity(d).scale(level.values[v]))
-        return HermitianTuple(blocks)
-
-    maps = _float_maps(problem, point)
-    blocks = _moment_blocks_float(problem, maps, _float_level(problem, level))
-    return HermitianTuple([CMatrix.from_numpy(b) for b in blocks])
+    blocks = []
+    for v in problem.s_order:
+        d = problem.dims.vertex_dim[v]
+        acc = CMatrix.zeros(d, d)
+        for a in problem.quiver.arrows:
+            f = point.maps[a.name]
+            if a.src == v:
+                acc = acc + (f.adjoint() @ f)
+            if a.dst == v:
+                acc = acc - _partial_trace_exact(f, problem.dims.twist_dim[a.name])
+        half = acc.scale(Fraction(1, 2))
+        blocks.append(half - CMatrix.identity(d).scale(level.values[v]))
+    return HermitianTuple(blocks)
 
 
-def _coker_matrix(tm: ToricMatrix) -> np.ndarray:
-    # columns are the fixed kernel basis of v; shape (r, r - m)
-    if not tm.coker:
-        return np.zeros((tm.r, 0))
-    return np.array([[float(vec[j]) for vec in tm.coker] for j in range(tm.r)])
+def _coker_matrix(problem):
+    """The fixed kernel basis of the torus matrix as columns, shape
+    (r, r - m); None on a vertex product."""
+    if not isinstance(problem.symmetry, TorusKernel):
+        return None
+    tm = problem.symmetry.matrix
+    rows = [[float(vec[j]) for vec in tm.coker] for j in range(tm.r)]
+    return np.array(rows, dtype=float).reshape(tm.r, len(tm.coker))
 
 
 def _float_maps(problem, point):
@@ -399,7 +394,7 @@ def _float_level(problem, level):
 
 
 def _moment_blocks_float(problem, maps, lvl):
-    blocks = []
+    blocks = {}
     for v in problem.s_order:
         d = problem.dims.vertex_dim[v]
         acc = np.zeros((d, d), dtype=complex)
@@ -410,7 +405,7 @@ def _moment_blocks_float(problem, maps, lvl):
             if a.dst == v:
                 fr = f.reshape(d, -1)  # rows: target index; columns: (twist, source)
                 acc -= fr @ fr.conj().T
-        blocks.append(acc / 2.0 - lvl[v] * np.eye(d))
+        blocks[v] = acc / 2.0 - lvl[v] * np.eye(d)
     return blocks
 
 
@@ -419,45 +414,53 @@ def _norm2(x) -> float:
 
 
 def _energy_and_data(problem, maps, lvl, coker):
-    """Energy ||mu||^2 together with the data the gradient needs."""
-    if isinstance(problem.symmetry, TorusKernel):
+    """Energy ||mu||^2 and mu itself: the cokernel coordinates on a torus
+    kernel, a dict of blocks over S on a vertex product."""
+    if coker is not None:
         order = [a.name for a in problem.quiver.arrows]
         b = np.array([abs(maps[n][0, 0]) ** 2 / 2.0 for n in order]) - lvl
         c = b @ coker
         return float(c @ c), c
     blocks = _moment_blocks_float(problem, maps, lvl)
-    energy = sum(_norm2(b) for b in blocks)
+    energy = sum(_norm2(b) for b in blocks.values())
     return energy, blocks
 
 
-def _gradient(problem, maps, data, coker):
-    """Euclidean gradient of ||mu||^2; tangent to the complexified orbit."""
+def _act(problem, maps, xi):
+    """The infinitesimal action of a Lie-algebra element xi on a point.
+
+    On a vertex product xi maps vertices to blocks and arrow a gets
+    (xi_t (x) id) f_a - f_a xi_s, vertices missing from xi acting by
+    zero; on a torus kernel xi is a vector over the arrows and z_j gets
+    -xi_j z_j.  The vector field is X_xi = -i _act(xi).
+    """
     if isinstance(problem.symmetry, TorusKernel):
-        c = data
-        pull = coker @ c  # length r
-        out = {}
-        for j, a in enumerate(problem.quiver.arrows):
-            out[a.name] = 2.0 * pull[j] * maps[a.name]
-        return out
-    m_of = dict(zip(problem.s_order, data))
+        return {a.name: -xi[j] * maps[a.name] for j, a in enumerate(problem.quiver.arrows)}
     out = {}
     for a in problem.quiver.arrows:
         f = maps[a.name]
-        g = np.zeros_like(f)
-        if a.src in m_of:
-            g = g + f @ m_of[a.src]
-        if a.dst in m_of:
+        x = np.zeros_like(f)
+        if a.dst in xi:
             d_t = problem.dims.vertex_dim[a.dst]
-            g = g - (m_of[a.dst] @ f.reshape(d_t, -1)).reshape(f.shape)
-        out[a.name] = 2.0 * g
+            x = x + (xi[a.dst] @ f.reshape(d_t, -1)).reshape(f.shape)
+        if a.src in xi:
+            x = x - f @ xi[a.src]
+        out[a.name] = x
     return out
+
+
+def _gradient(problem, maps, mu, coker):
+    """Euclidean gradient of ||mu||^2, tangent to the complexified orbit:
+    -2 _act(mu), a torus mu pulled back to the arrows first."""
+    xi = mu if coker is None else coker @ mu
+    return {k: -2.0 * x for k, x in _act(problem, maps, xi).items()}
 
 
 class _OrbitStepper:
     """Applies the descent direction through the group exponential.
 
-    The Euclidean gradient of ||mu||^2 is the infinitesimal action of
-    the Hermitian tuple 2 mu(p), so the exact descent path is
+    The descent direction, minus the gradient of ||mu||^2, is
+    _act(2 mu(p)), so the exact descent path is
     f_a(s) = (e^{2 s M_t} (x) id) f_a e^{-2 s M_s}.  Stepping through
     the exponential keeps every iterate on the complexified orbit (in
     particular map ranks never jump), which additive updates violate at
@@ -468,13 +471,11 @@ class _OrbitStepper:
     def __init__(self, problem, maps, data, coker):
         self.problem = problem
         self.maps = maps
-        self.torus = isinstance(problem.symmetry, TorusKernel)
+        self.torus = coker is not None
         if self.torus:
             self.pull = coker @ data  # length r, real
         else:
-            self.eigs = {}
-            for v, m_v in zip(problem.s_order, data):
-                self.eigs[v] = np.linalg.eigh(m_v)
+            self.eigs = {v: np.linalg.eigh(m_v) for v, m_v in data.items()}
 
     def group_factors(self, s):
         """exp(2 s M_v) per symmetry vertex (torus: per-arrow scales)."""
@@ -633,8 +634,7 @@ def kempf_ness_flow(
     problem.validate_level(level)
     maps = _float_maps(problem, point)
     lvl = _float_level(problem, level)
-    torus = isinstance(problem.symmetry, TorusKernel)
-    coker = _coker_matrix(problem.symmetry.matrix) if torus else None
+    coker = _coker_matrix(problem)
 
     tol2 = cfg.tol * cfg.tol
     bound_floor = math.sqrt(10.0) * cfg.tol
@@ -645,9 +645,7 @@ def kempf_ness_flow(
     discarded = 0
     window_start = energy
     history = [float(energy)]
-    group = None if torus else {
-        v: np.eye(problem.dims.vertex_dim[v], dtype=complex) for v in problem.s_order
-    }
+    group = {v: np.eye(problem.dims.vertex_dim[v], dtype=complex) for v in problem.s_order}
     while True:
         if energy < tol2:
             reason = StopReason.CONVERGED
@@ -672,7 +670,7 @@ def kempf_ness_flow(
             reason = StopReason.CRITICAL
             break
         stepper = _OrbitStepper(problem, maps, data, coker)
-        if not torus and iterations % WEIGHT_CHECK_EVERY == 0:
+        if coker is None and iterations % WEIGHT_CHECK_EVERY == 0:
             bound = _weight_bound(problem, maps, stepper.eigs, lvl, xnorm)
             if bound is not None:
                 if bound > math.sqrt(energy) * (1.0 + WEIGHT_CONTRADICTION_RTOL):
@@ -694,9 +692,13 @@ def kempf_ness_flow(
                 and _all_finite(factors)
             ):
                 maps, energy, data = trial, e_new, d_new
-                if group is not None:
-                    for v in group:
-                        group[v] = factors[v] @ group[v]
+                for v in group:
+                    g = factors[v] @ group[v]
+                    # a power of two rescales exactly, and cond(g) does
+                    # not see the scale: keep max|g| in [1/2, 1); the
+                    # floor keeps 2^-e finite when max|g| is subnormal
+                    e = max(math.frexp(np.abs(g).max())[1], -1021)
+                    group[v] = g * 2.0 ** -e
                 accepted = True
                 break
             s *= 0.5
@@ -713,14 +715,10 @@ def kempf_ness_flow(
             window_start = energy
 
     group_cond = 1.0
-    if group is not None:
-        for g in group.values():
-            # LAPACK writes to stdout when handed inf or nan: test first
-            svals = np.linalg.svd(g, compute_uv=False) if np.isfinite(g).all() else [0.0]
-            if svals[-1] <= 0 or not np.isfinite(svals[0]):
-                group_cond = float("inf")
-            else:
-                group_cond = max(group_cond, float(svals[0] / svals[-1]))
+    for g in group.values():
+        # LAPACK writes to stdout when handed inf or nan: test first
+        cond = np.linalg.cond(g) if np.isfinite(g).all() else math.inf
+        group_cond = max(group_cond, float(cond))
     sigma_min = float("nan")
     if reason is StopReason.CONVERGED:
         if group_cond > MAX_GROUP_COND:
@@ -781,60 +779,30 @@ def _hermitian_basis(d):
     return basis
 
 
-def _apply_xi_vertex(problem, maps, vertex, xi):
-    """X_xi for a Hermitian generator xi supported at one vertex."""
-    out = {}
-    for a in problem.quiver.arrows:
-        f = maps[a.name]
-        x = np.zeros_like(f)
-        if a.dst == vertex:
-            d_t = problem.dims.vertex_dim[a.dst]
-            x = x + (xi @ f.reshape(d_t, -1)).reshape(f.shape)
-        if a.src == vertex:
-            x = x - f @ xi
-        out[a.name] = -1j * x
-    return out
-
-
 def _stabilizer_sigma_min(problem, maps, coker):
     """Smallest singular value of the infinitesimal-action matrix.
 
     Columns are the vector fields of a real basis of i k evaluated at
-    the point; a real basis of i k is a complex basis of the
+    the point: _hermitian_basis per vertex of S, or the cokernel columns
+    on a torus kernel.  A real basis of i k is a complex basis of the
     complexified Lie algebra, so a zero singular value detects a
     positive-dimensional complexified stabilizer.
     """
-    cols = []
-    if isinstance(problem.symmetry, TorusKernel):
-        order = [a.name for a in problem.quiver.arrows]
-        z = np.array([maps[n][0, 0] for n in order])
-        for k in range(coker.shape[1]):
-            cols.append(1j * coker[:, k] * z)
-        if not cols:
-            return float("inf")
-        mat = np.stack(cols, axis=1)
+    if coker is None:
+        basis = [
+            {v: xi}
+            for v in problem.s_order
+            for xi in _hermitian_basis(problem.dims.vertex_dim[v])
+        ]
     else:
-        for v in problem.s_order:
-            for xi in _hermitian_basis(problem.dims.vertex_dim[v]):
-                flow = _apply_xi_vertex(problem, maps, v, xi)
-                cols.append(
-                    np.concatenate(
-                        [flow[a.name].ravel() for a in problem.quiver.arrows]
-                    )
-                )
-        mat = np.stack(cols, axis=1)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    return float(svals[-1]) if len(svals) else float("inf")
-
-
-def numerical_stability_verdict(
-    problem: QuiverProblem, point: QuiverPoint, level: Level, cfg: FlowConfig = None
-) -> Verdict:
-    """Classify a point by flowing it: Stable needs energy < tol^2 and a
-    trivial stabilizer estimate, StrictlySemistable a positive-dimensional
-    one, Unstable a moment-weight certificate or an energy plateau above
-    10 tol^2, Borderline the rest (see kempf_ness_flow)."""
-    return kempf_ness_flow(problem, point, level, cfg).verdict
+        basis = list(coker.T)
+    if not basis:
+        return float("inf")
+    cols = [
+        np.concatenate([(-1j * x).ravel() for x in _act(problem, maps, xi).values()])
+        for xi in basis
+    ]
+    return float(np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)[-1])
 
 
 # -- Hamiltonian identity ----------------------------------------------
@@ -846,21 +814,7 @@ def _pair_moment_xi(problem, maps, lvl, xi):
         b = np.array([abs(maps[n][0, 0]) ** 2 / 2.0 for n in order]) - lvl
         return float(b @ np.asarray(xi, dtype=float))
     blocks = _moment_blocks_float(problem, maps, lvl)
-    return float(sum(np.trace(b @ x).real for b, x in zip(blocks, xi)))
-
-
-def _xi_vector_field(problem, maps, xi):
-    if isinstance(problem.symmetry, TorusKernel):
-        out = {}
-        for j, a in enumerate(problem.quiver.arrows):
-            out[a.name] = 1j * float(xi[j]) * maps[a.name]
-        return out
-    out = {a.name: np.zeros_like(maps[a.name]) for a in problem.quiver.arrows}
-    for v, block in zip(problem.s_order, xi):
-        part = _apply_xi_vertex(problem, maps, v, block)
-        for name in out:
-            out[name] = out[name] + part[name]
-    return out
+    return float(sum(np.trace(blocks[v] @ x).real for v, x in xi.items()))
 
 
 def hamiltonian_check(
@@ -896,16 +850,16 @@ def hamiltonian_check(
         if max(abs(x) for x in resid) > 1e-9 * max(1.0, max(abs(x) for x in xi_val)):
             raise InputError("xi must lie in the kernel of the torus matrix")
     else:
-        xi_val = [b.to_numpy() for b in xi]
-        if len(xi_val) != len(problem.s_order):
+        if len(xi) != len(problem.s_order):
             raise InputError("xi must have one block per symmetry vertex")
+        xi_val = {v: b.to_numpy() for v, b in zip(problem.s_order, xi)}
 
     plus = {k: f + h * w[k] for k, f in maps.items()}
     minus = {k: f - h * w[k] for k, f in maps.items()}
     lhs = (_pair_moment_xi(problem, plus, lvl, xi_val) - _pair_moment_xi(problem, minus, lvl, xi_val)) / (
         2.0 * h
     )
-    x_field = _xi_vector_field(problem, maps, xi_val)
+    x_field = {k: -1j * x for k, x in _act(problem, maps, xi_val).items()}
     rhs = -sum(
         np.sum(x_field[a.name].conj() * w[a.name]) for a in problem.quiver.arrows
     ).imag

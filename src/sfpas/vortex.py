@@ -81,7 +81,6 @@ class VortexProblem:
     centers: tuple  # ((x, y, multiplicity), ...)
     t: float
     sigma: float = None
-    b0_scale: float = 1.0
 
     def __post_init__(self):
         if self.d > 0:
@@ -110,10 +109,10 @@ class VortexProblem:
 
     def squared_section(self) -> np.ndarray:
         """B0: product of Gaussian wells, one per center (with
-        multiplicity), scaled by b0_scale.  Vanishes exactly at the
-        centers and stays positive away from them."""
+        multiplicity).  Vanishes exactly at the centers and stays
+        positive away from them."""
         xx, yy = self.grid.coordinates()
-        b0 = np.full_like(xx, self.b0_scale)
+        b0 = np.ones_like(xx)
         for cx, cy, mult in self.centers:
             dx = np.abs(xx - cx)
             dx = np.minimum(dx, self.grid.length - dx)

@@ -44,7 +44,7 @@ def test_criterion_1_flag_oracle_agreement():
     for chain in chains:
         exact_verdict, _ = families.flag_stable(chain)
         problem, point, level = chain.to_quiver()
-        numeric = quiver.numerical_stability_verdict(problem, point, level, cfg)
+        numeric = quiver.kempf_ness_flow(problem, point, level, cfg).verdict
         if numeric == exact_verdict:
             agree += 1
         elif numeric == quiver.Verdict.BORDERLINE:

@@ -422,10 +422,11 @@ def test_ggw_rejects_bool_coefficient(capsys):
 
 
 def test_quiver_flow_output_is_strict_json(capfd, tmp_path):
-    """Criterion-1 chain 9 at level (-1, 0, 0) ends with an overflowed
-    group element; its group_cond is written as null, not Infinity,
-    nothing but the JSON reaches stdout, and with --step 0.3 the
-    non-finite element no longer reaches the SVD (exit 4)."""
+    """Criterion-1 chain 9 at level (-1, 0, 0) grows its group element
+    past the float range unless the flow keeps it normalized: its
+    group_cond is a finite number both ways (it used to be Infinity,
+    or an SVD failure with exit 4 at --step 0.3), and nothing but the
+    JSON reaches stdout."""
     rng = random.Random(2024)
     chain = [random_chain(rng) for _ in range(10)][9]
     assert chain.dims == (4, 2, 4, 4)
@@ -451,7 +452,7 @@ def test_quiver_flow_output_is_strict_json(capfd, tmp_path):
             assert code == 0, extra
             payloads[cmd] = json.loads(capfd.readouterr().out, parse_constant=reject)
             assert payloads[cmd]["verdict"] == "Unstable"
-        assert payloads["flow"]["group_cond"] is None
+        assert 1.0 <= payloads["flow"]["group_cond"] < 1e3
 
 
 # case -> (command, data file whose fields are replaced or None, fields)
@@ -477,3 +478,23 @@ def test_non_integer_size_or_index_exits_2(capsys, data_dir, tmp_path, case):
     path.write_text(json.dumps({**payload, **fields}))
     code, out, err = run_cli(command.split() + [str(path)], capsys)
     assert code == 2 and out == "" and "integer" in err
+
+
+def test_empty_list_matrix_needs_an_empty_shape(capsys, tmp_path):
+    """[] stands for a matrix only when its expected shape has no
+    entries: a 2x1 k written as [] is invalid input, while the u = 0 and
+    w = 0 triples may write their empty matrices as []."""
+    cases = [
+        ({"u": 1, "v": 2, "w": 2, "k": [], "l": [["0"], ["1"]], "m": [["1", "0"], ["0", "1"]]}, 2),
+        ({"u": 0, "v": 2, "w": 2, "k": [], "l": [], "m": [["1", "0"], ["0", "1"]]}, 0),
+        ({"u": 2, "v": 2, "w": 0, "k": [["1", "0"], ["0", "1"]], "l": [["0", "1"], ["1", "0"]], "m": []}, 0),
+    ]
+    for triple, expected in cases:
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps(triple))
+        code, out, err = run_cli(["stromme", "check", str(path)], capsys)
+        assert code == expected, (triple, err)
+        if expected == 2:
+            assert out == "" and "2x1" in err
+        else:
+            assert "is_triple" in json.loads(out)

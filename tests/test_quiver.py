@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sfpas import quiver
 from sfpas.errors import InputError
 from sfpas.linalg import CMatrix, GaussianRational, HermitianTuple
 from sfpas.quiver import (
@@ -18,7 +20,6 @@ from sfpas.quiver import (
     hamiltonian_check,
     kempf_ness_flow,
     moment_map,
-    numerical_stability_verdict,
     problem_from_json,
     properness_refuter,
     random_point,
@@ -177,6 +178,71 @@ def test_hamiltonian_check_twisted():
     assert err < 1e-6
 
 
+def _random_exact(rng, rows, cols):
+    def entry():
+        return GaussianRational(
+            Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+            Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+        )
+
+    return CMatrix([[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def _exact_energy(prob, maps, lvl):
+    """|mu|^2 from the exact moment map alone."""
+    mu = moment_map(prob, QuiverPoint(maps), lvl)
+    if isinstance(prob.symmetry, TorusKernel):
+        return sum(x * x for x in mu)
+    return sum(e.abs2() for block in mu for row in block.entries for e in row)
+
+
+def test_flow_gradient_matches_energy_differences():
+    """The flow's gradient against central differences of |mu|^2 along
+    random tangent directions, on both symmetry shapes.  The vertex
+    product has an arrow of twist dimension 3, a loop, and a vertex c
+    outside S.  The energy comes from the exact moment map, so with
+    h = 1e-6 the difference quotient misses the derivative only by its
+    h^2 term, about 1e-12 here."""
+    q = Quiver(
+        ["a", "b", "c"],
+        [("f", "a", "b"), ("g", "b", "c"), ("h", "c", "a"), ("l", "a", "a")],
+    )
+    dims = QuiverDims(q, {"a": 2, "b": 2, "c": 1}, {"f": 3, "h": 2})
+    problems = [
+        QuiverProblem(q, dims, FullVertexProduct(["a", "b"])),
+        torus_problem([[1, -1, 0], [0, 1, -1]]),
+        torus_problem([[1, -1, 0, 0], [0, 0, 1, -1]]),
+    ]
+    rng = random.Random(20)
+    levels = [-1, 0, Fraction(1, 2), 2]
+    h = Fraction(1, 10**6)
+    nonzero = 0
+    for prob in problems:
+        torus = isinstance(prob.symmetry, TorusKernel)
+        shapes = {a.name: prob.dims.map_shape(a) for a in prob.quiver.arrows}
+        for _ in range(6):
+            if torus:
+                lvl = Level.torus([rng.choice(levels) for _ in shapes])
+            else:
+                lvl = Level.vertex({v: rng.choice(levels) for v in prob.s_order})
+            maps = {k: _random_exact(rng, *shape) for k, shape in shapes.items()}
+            fmaps = {k: m.to_numpy() for k, m in maps.items()}
+            coker = quiver._coker_matrix(prob)
+            lvl_f = quiver._float_level(prob, lvl)
+            _, mu = quiver._energy_and_data(prob, fmaps, lvl_f, coker)
+            grad = quiver._gradient(prob, fmaps, mu, coker)
+            for _ in range(3):
+                w = {k: _random_exact(rng, *shape) for k, shape in shapes.items()}
+                plus = {k: m + w[k].scale(h) for k, m in maps.items()}
+                minus = {k: m - w[k].scale(h) for k, m in maps.items()}
+                diff = _exact_energy(prob, plus, lvl) - _exact_energy(prob, minus, lvl)
+                expected = float(diff / (2 * h))
+                actual = sum(np.vdot(grad[k], w[k].to_numpy()).real for k in grad)
+                assert actual == pytest.approx(expected, rel=1e-8, abs=1e-8)
+                nonzero += expected != 0.0
+    assert nonzero >= 50
+
+
 def test_flow_scalar_grassmann_converges():
     prob = grassmann_problem()
     pt = QuiverPoint({"f": CMatrix([[GaussianRational(Fraction(1, 4))]])})
@@ -207,7 +273,7 @@ def test_flow_injective_chain_stable():
     )
     lvl = Level.vertex({"v1": 1, "v2": 1})
     cfg = FlowConfig(tol=1e-6, max_iter=50_000)
-    assert numerical_stability_verdict(prob, pt, lvl, cfg) == Verdict.STABLE
+    assert kempf_ness_flow(prob, pt, lvl, cfg).verdict == Verdict.STABLE
 
 
 def test_flow_kernel_chain_unstable():
@@ -215,7 +281,7 @@ def test_flow_kernel_chain_unstable():
     pt = QuiverPoint({"f1": CMatrix([[1, 0], [0, 0]])})
     lvl = Level.vertex({"v1": 1})
     cfg = FlowConfig(tol=1e-6, max_iter=50_000)
-    assert numerical_stability_verdict(prob, pt, lvl, cfg) == Verdict.UNSTABLE
+    assert kempf_ness_flow(prob, pt, lvl, cfg).verdict == Verdict.UNSTABLE
 
 
 def test_flow_monotone_energy():
